@@ -56,6 +56,7 @@ func TestAllExperimentsRun(t *testing.T) {
 			t.Setenv("BENCH_REPL_OUT", filepath.Join(t.TempDir(), "repl.json"))
 			t.Setenv("BENCH_EC_OUT", filepath.Join(t.TempDir(), "ec.json"))
 			t.Setenv("BENCH_INGEST_OUT", filepath.Join(t.TempDir(), "ingest.json"))
+			t.Setenv("BENCH_RESTOREFAST_OUT", filepath.Join(t.TempDir(), "restorefast.json"))
 			var buf bytes.Buffer
 			if err := e.Run(context.Background(), &buf, tinyScale); err != nil {
 				t.Fatalf("%s: %v", e.ID, err)

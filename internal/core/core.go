@@ -155,8 +155,10 @@ type Config struct {
 	PackBudgetBytes int64
 	// MaintWorkers is the fan-out width of G-node offline maintenance
 	// (reverse dedup scans, scrub verification, sweep marking, container
-	// rewrites). 0 selects the default (4); negative runs serially. Any
-	// width produces bit-identical results — it only changes wall-clock.
+	// rewrites, and the version-collection scan: catalog listings, catalog
+	// entry and recipe fetches). 0 selects the default (4); negative runs
+	// serially. Any width produces bit-identical results — it only changes
+	// wall-clock.
 	MaintWorkers int
 
 	// GlobalShards partitions the global fingerprint index by hash

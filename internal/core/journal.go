@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"slimstore/internal/container"
 	"slimstore/internal/fingerprint"
@@ -178,6 +180,13 @@ type GCApply struct {
 // Safe to re-run — deletes tolerate already-deleted state. cs and rs
 // direct the I/O (metered views); nil selects the repo's unmetered
 // stores (the replay path).
+//
+// The liveness check is scan ∥ → decide → commit (DESIGN.md §8): the
+// catalog is listed once, and the catalog entries, candidate metadata,
+// index probe and live recipes are read across the maintenance worker
+// pool. The live and pinned sets are unions, so they do not depend on
+// fetch order. Only then do the drops run, serially and in journal
+// order, exactly as a serial sweep would issue them.
 func (r *Repo) ApplyGC(rec *journal.Record, cs *container.Store, rs *recipe.Store) (*GCApply, error) {
 	if cs == nil {
 		cs = r.Containers
@@ -196,7 +205,11 @@ func (r *Repo) ApplyGC(rec *journal.Record, cs *container.Store, rs *recipe.Stor
 		return nil, err
 	}
 	if len(rec.Garbage) > 0 {
-		live, err := r.LiveContainerRefs(rs)
+		versions, err := r.ListVersions(rs)
+		if err != nil {
+			return nil, err
+		}
+		live, err := r.LiveContainerRefs(rs, versions)
 		if err != nil {
 			return nil, err
 		}
@@ -206,7 +219,7 @@ func (r *Repo) ApplyGC(rec *journal.Record, cs *container.Store, rs *recipe.Stor
 				cands[id] = true
 			}
 		}
-		pinned, err := r.redirectPins(cs, rs, cands)
+		pinned, err := r.redirectPins(cs, rs, cands, versions)
 		if err != nil {
 			return nil, err
 		}
@@ -237,60 +250,100 @@ func (r *Repo) ApplyGC(rec *journal.Record, cs *container.Store, rs *recipe.Stor
 // This pass catches exactly those: a candidate is pinned when it is the
 // index-canonical home of a fingerprint that some live recipe references
 // via a different container.
-func (r *Repo) redirectPins(cs *container.Store, rs *recipe.Store, cands map[container.ID]bool) (map[container.ID]bool, error) {
-	// Fingerprints whose canonical copy sits in a candidate.
-	own := make(map[fingerprint.FP]container.ID)
+//
+// The candidates' metadata and the live recipes are fetched across the
+// maintenance worker pool, and every candidate chunk is resolved in one
+// batched index probe. The recipe walk stops early once every candidate
+// that can be pinned is.
+func (r *Repo) redirectPins(cs *container.Store, rs *recipe.Store, cands map[container.ID]bool,
+	versions []VersionRef) (map[container.ID]bool, error) {
+
+	ids := make([]container.ID, 0, len(cands))
 	for id := range cands {
-		m, err := cs.ReadMeta(id)
-		if err != nil {
-			continue // unreadable meta: DropContainer will no-op it anyway
+		ids = append(ids, id)
+	}
+	metas := make([]*container.Meta, len(ids))
+	if err := r.MaintForEach(len(ids), func(i int) error {
+		if m, err := cs.ReadMeta(ids[i]); err == nil {
+			metas[i] = m
+		} // unreadable meta: DropContainer will no-op it anyway
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+
+	// Probe the candidates' live chunks in one batch: a candidate owns the
+	// fingerprints whose canonical copy it holds.
+	var (
+		fps   []fingerprint.FP
+		homes []container.ID
+	)
+	for i, m := range metas {
+		if m == nil {
+			continue
 		}
-		for i := range m.Chunks {
-			cm := &m.Chunks[i]
-			if cm.Deleted {
-				continue
+		for j := range m.Chunks {
+			if cm := &m.Chunks[j]; !cm.Deleted {
+				fps = append(fps, cm.FP)
+				homes = append(homes, ids[i])
 			}
-			cur, found, err := r.Global.Get(cm.FP)
-			if err != nil {
-				return nil, err
-			}
-			if found && cur == id {
-				own[cm.FP] = id
-			}
+		}
+	}
+	if len(fps) == 0 {
+		return nil, nil
+	}
+	cur, found, _, err := r.Global.GetBatch(fps)
+	if err != nil {
+		return nil, err
+	}
+	own := make(map[fingerprint.FP]container.ID)
+	pinnable := make(map[container.ID]bool)
+	for i, fp := range fps {
+		if found[i] && cur[i] == homes[i] {
+			own[fp] = homes[i]
+			pinnable[homes[i]] = true
 		}
 	}
 	if len(own) == 0 {
 		return nil, nil
 	}
 
-	pinned := make(map[container.ID]bool)
-	files, err := rs.Files()
+	var (
+		mu     sync.Mutex
+		pinned = make(map[container.ID]bool)
+		done   atomic.Bool // every pinnable candidate is pinned
+	)
+	err = r.MaintForEach(len(versions), func(i int) error {
+		if done.Load() {
+			return nil
+		}
+		v := versions[i]
+		rcp, err := rs.GetRecipe(v.File, v.Version)
+		if err != nil {
+			if errors.Is(err, oss.ErrNotFound) {
+				return nil // catalog entry without a recipe: nothing to pin
+			}
+			return err
+		}
+		local := make(map[container.ID]bool)
+		rcp.Iter(func(_, _ int, cr *recipe.ChunkRecord) bool {
+			if cand, ok := own[cr.FP]; ok && cr.Container != cand {
+				local[cand] = true
+			}
+			return len(local) < len(pinnable) && !done.Load()
+		})
+		mu.Lock()
+		defer mu.Unlock()
+		for id := range local {
+			pinned[id] = true
+		}
+		if len(pinned) == len(pinnable) {
+			done.Store(true)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	for _, f := range files {
-		versions, err := rs.Versions(f)
-		if err != nil {
-			return nil, err
-		}
-		for _, v := range versions {
-			rcp, err := rs.GetRecipe(f, v)
-			if err != nil {
-				if errors.Is(err, oss.ErrNotFound) {
-					continue // catalog entry without a recipe: nothing to pin
-				}
-				return nil, err
-			}
-			rcp.Iter(func(_, _ int, cr *recipe.ChunkRecord) bool {
-				if cand, ok := own[cr.FP]; ok && cr.Container != cand {
-					pinned[cand] = true
-				}
-				return len(pinned) < len(cands) // all pinned: stop early
-			})
-			if len(pinned) == len(cands) {
-				return pinned, nil
-			}
-		}
 	}
 	return pinned, nil
 }
@@ -382,27 +435,53 @@ func (r *Repo) WriteRebuilt(cs *container.Store, nc *container.Container) error 
 	return r.Journal.Remove(key)
 }
 
-// LiveContainerRefs scans the catalog for every container referenced by a
-// live version.
-func (r *Repo) LiveContainerRefs(rs *recipe.Store) (map[container.ID]bool, error) {
-	live := make(map[container.ID]bool)
+// VersionRef names one catalog entry: a version of a file.
+type VersionRef struct {
+	File    string
+	Version int
+}
+
+// ListVersions lists every catalog entry, files in order and each file's
+// versions ascending: one Files listing, then the per-file Versions
+// listings across the maintenance worker pool.
+func (r *Repo) ListVersions(rs *recipe.Store) ([]VersionRef, error) {
 	files, err := rs.Files()
 	if err != nil {
 		return nil, err
 	}
-	for _, f := range files {
-		versions, err := rs.Versions(f)
-		if err != nil {
-			return nil, err
+	perFile := make([][]int, len(files))
+	if err := r.MaintForEach(len(files), func(i int) error {
+		vs, err := rs.Versions(files[i])
+		perFile[i] = vs
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	var out []VersionRef
+	for i, vs := range perFile {
+		for _, v := range vs {
+			out = append(out, VersionRef{File: files[i], Version: v})
 		}
-		for _, v := range versions {
-			info, err := rs.GetInfo(f, v)
-			if err != nil {
-				return nil, err
-			}
-			for _, id := range info.Containers {
-				live[id] = true
-			}
+	}
+	return out, nil
+}
+
+// LiveContainerRefs reads the catalog entries of versions (a ListVersions
+// result) across the maintenance worker pool and returns every container
+// they reference.
+func (r *Repo) LiveContainerRefs(rs *recipe.Store, versions []VersionRef) (map[container.ID]bool, error) {
+	infos := make([]*recipe.VersionInfo, len(versions))
+	if err := r.MaintForEach(len(versions), func(i int) error {
+		info, err := rs.GetInfo(versions[i].File, versions[i].Version)
+		infos[i] = info
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	live := make(map[container.ID]bool)
+	for _, info := range infos {
+		for _, id := range info.Containers {
+			live[id] = true
 		}
 	}
 	return live, nil

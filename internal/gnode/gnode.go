@@ -155,7 +155,7 @@ func (g *GNode) rdPrepare(cs *container.Store, ids []container.ID) (*rdPrep, err
 		scans:   make([]*container.Meta, len(ids)),
 		scanned: make(map[container.ID]*container.Meta, len(ids)),
 	}
-	err := g.forEach(len(ids), func(i int) error {
+	err := g.repo.MaintForEach(len(ids), func(i int) error {
 		m, err := cs.ReadMeta(ids[i])
 		if err != nil {
 			// The list is advisory (captured at backup time); a container
@@ -223,7 +223,7 @@ func (g *GNode) rdPrepare(cs *container.Store, ids []container.ID) (*rdPrep, err
 	p.olds = make(map[container.ID]*container.Meta, len(oldIDs))
 	p.oldErr = make(map[container.ID]error)
 	var mu sync.Mutex
-	err = g.forEach(len(oldIDs), func(i int) error {
+	err = g.repo.MaintForEach(len(oldIDs), func(i int) error {
 		m, err := cs.ReadMeta(oldIDs[i])
 		mu.Lock()
 		defer mu.Unlock()
@@ -342,7 +342,7 @@ func (g *GNode) rdCommit(cs *container.Store, ids []container.ID, p *rdPrep) (*R
 		dids = append(dids, id)
 	}
 	sort.Slice(dids, func(a, b int) bool { return dids[a] < dids[b] })
-	if err := g.forEach(len(dids), func(i int) error {
+	if err := g.repo.MaintForEach(len(dids), func(i int) error {
 		return cs.WriteMeta(dirty[dids[i]])
 	}); err != nil {
 		return nil, nil, err
@@ -370,7 +370,7 @@ func (g *GNode) rdRewrite(cs *container.Store, stats *ReverseDedupStats, rewrite
 		return nil
 	}
 	var mu sync.Mutex
-	return g.forEach(len(rewrites), func(i int) error {
+	return g.repo.MaintForEach(len(rewrites), func(i int) error {
 		freed, err := g.repo.RewriteContainer(cs, rewrites[i])
 		if err != nil {
 			if errors.Is(err, oss.ErrNotFound) {
@@ -646,23 +646,9 @@ func (g *GNode) FullSweep() (*AuditStats, error) {
 	cs := g.containers()
 	rs := g.recipes()
 
-	files, err := rs.Files()
+	work, err := g.repo.ListVersions(rs)
 	if err != nil {
 		return nil, err
-	}
-	type fv struct {
-		file    string
-		version int
-	}
-	var work []fv
-	for _, f := range files {
-		versions, err := rs.Versions(f)
-		if err != nil {
-			return nil, err
-		}
-		for _, v := range versions {
-			work = append(work, fv{f, v})
-		}
 	}
 
 	// Mark phase, fanned out per version: each worker walks one recipe,
@@ -674,8 +660,8 @@ func (g *GNode) FullSweep() (*AuditStats, error) {
 		markMu sync.Mutex
 		marked = make(map[container.ID]bool)
 	)
-	err = g.forEach(len(work), func(wi int) error {
-		r, err := rs.GetRecipe(work[wi].file, work[wi].version)
+	err = g.repo.MaintForEach(len(work), func(wi int) error {
+		r, err := rs.GetRecipe(work[wi].File, work[wi].Version)
 		if err != nil {
 			return err
 		}
@@ -728,7 +714,7 @@ func (g *GNode) FullSweep() (*AuditStats, error) {
 	// containers, and each index entry is deleted only by the drop whose
 	// container it names, so concurrent drops never interfere.
 	var sweepMu sync.Mutex
-	err = g.forEach(len(unmarked), func(i int) error {
+	err = g.repo.MaintForEach(len(unmarked), func(i int) error {
 		reclaimed, _, err := g.repo.DropContainer(cs, unmarked[i])
 		if err != nil {
 			return err

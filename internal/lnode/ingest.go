@@ -67,7 +67,14 @@ type chunkBatch struct {
 	slab     []byte
 }
 
-var batchPool = sync.Pool{New: func() any { return new(chunkBatch) }}
+// Fresh batches come sized for a full hand-off, so a pool miss costs two
+// allocations rather than a run of append regrowths.
+var batchPool = sync.Pool{New: func() any {
+	return &chunkBatch{
+		chunks: make([]chunker.Chunk, 0, ingestBatchChunks),
+		fps:    make([]fingerprint.FP, 0, ingestBatchChunks),
+	}
+}}
 
 func getBatch() *chunkBatch { return batchPool.Get().(*chunkBatch) }
 

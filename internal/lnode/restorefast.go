@@ -197,6 +197,12 @@ func (r *restoreRun) emit(data []byte) error {
 // payload).
 func (r *restoreRun) push(data []byte) error {
 	s := getRestoreSlot()
+	if cap(s.buf) < len(data) {
+		// Grow straight to the largest plain chunk, so a recycled slot
+		// reallocates at most once rather than each time it meets a chunk
+		// bigger than any it has held; only superchunks exceed this.
+		s.buf = make([]byte, 0, max(len(data), r.node.repo.Config.ChunkParams.Max))
+	}
 	s.buf = append(s.buf[:0], data...)
 	s.idx = r.pos
 	r.pos++
