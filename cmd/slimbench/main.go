@@ -5,9 +5,13 @@
 //	slimbench -list
 //	slimbench -exp fig5a [-scale small|medium|large]
 //	slimbench -exp all -scale medium
+//	slimbench -exp ingest -out bench-artifacts
 //
 // Each experiment prints the same rows/series the corresponding table or
 // figure reports; see EXPERIMENTS.md for the paper-vs-measured record.
+// Experiments with a regression artifact (gmaint, restoreio, repl, ec,
+// ingest, restorefast, scale) also write BENCH_<exp>.json into the -out
+// directory (default: the working directory; created if missing).
 package main
 
 import (
@@ -25,6 +29,7 @@ func main() {
 		exp   = flag.String("exp", "", "experiment ID (e.g. fig5a, table2) or 'all'")
 		scale = flag.String("scale", "small", "workload scale: small, medium, large")
 		list  = flag.Bool("list", false, "list available experiments")
+		out   = flag.String("out", ".", "directory for BENCH_<exp>.json artifacts")
 	)
 	flag.Parse()
 
@@ -51,6 +56,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown scale %q (want small, medium, large)\n", *scale)
 		os.Exit(2)
 	}
+
+	if err := os.MkdirAll(*out, 0o755); err != nil {
+		fmt.Fprintf(os.Stderr, "-out: %v\n", err)
+		os.Exit(2)
+	}
+	bench.ArtifactDir = *out
 
 	run := func(e bench.Experiment) {
 		start := time.Now()

@@ -26,11 +26,9 @@
 // -ec-parity M arm the erasure-coded container tier (DESIGN §12); every
 // command against a repository must use the same values it was created
 // with. -hash-workers, -pack-workers and -pack-budget tune the ingest
-// fast path (DESIGN §13), and -legacy-ingest falls back to the old
-// pipelined ingest for comparison; -verify-workers and -restore-window
-// tune the restore fast path (DESIGN §14), and -legacy-restore falls
-// back to the serial per-chunk restore emit. These affect performance
-// only, not the repository layout.
+// fast path (DESIGN §13), and -verify-workers and -restore-window tune
+// the restore fast path (DESIGN §14). These affect performance only,
+// not the repository layout.
 package main
 
 import (
@@ -57,10 +55,8 @@ var (
 	hashWorkers    = 0
 	packWorkers    = 0
 	packBudget     = int64(0)
-	legacyIngest   = false
 	verifyWorkers  = 0
 	restoreWindow  = 0
-	legacyRestore  = false
 )
 
 func openSystem(repo string) (*slimstore.System, error) {
@@ -78,14 +74,12 @@ func openSystem(repo string) (*slimstore.System, error) {
 	if packBudget != 0 {
 		cfg.PackBudgetBytes = packBudget
 	}
-	cfg.LegacyIngest = legacyIngest
 	if verifyWorkers != 0 {
 		cfg.VerifyWorkers = verifyWorkers
 	}
 	if restoreWindow != 0 {
 		cfg.RestoreWindow = restoreWindow
 	}
-	cfg.LegacyRestore = legacyRestore
 	switch {
 	case strings.HasPrefix(repo, "dir:"):
 		return slimstore.OpenDirectory(strings.TrimPrefix(repo, "dir:"), cfg)
@@ -164,10 +158,8 @@ func main() {
 	fs.IntVar(&hashWorkers, "hash-workers", 0, "fingerprint worker-pool size (0 = default 4, negative = inline hashing)")
 	fs.IntVar(&packWorkers, "pack-workers", 0, "background container-sealing workers (0 = default 4, negative = synchronous writes)")
 	fs.Int64Var(&packBudget, "pack-budget", 0, "ingest buffer budget: max bytes of sealed containers in flight (0 = 3x pack-workers x container capacity)")
-	fs.BoolVar(&legacyIngest, "legacy-ingest", false, "use the pre-fast-path pipelined ingest (debugging/comparison)")
 	fs.IntVar(&verifyWorkers, "verify-workers", 0, "restore verification worker-pool size (0 = default 4, negative = verify on the pipeline)")
 	fs.IntVar(&restoreWindow, "restore-window", 0, "restore pipeline window: max in-flight chunk slots (0 = default 256)")
-	fs.BoolVar(&legacyRestore, "legacy-restore", false, "use the serial per-chunk restore emit (debugging/comparison)")
 
 	switch cmd {
 	case "backup":

@@ -9,8 +9,11 @@ package bench
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"text/tabwriter"
@@ -105,6 +108,26 @@ func f1(v float64) string  { return fmt.Sprintf("%.1f", v) }
 func f2(v float64) string  { return fmt.Sprintf("%.2f", v) }
 func f3(v float64) string  { return fmt.Sprintf("%.3f", v) }
 func pct(v float64) string { return fmt.Sprintf("%.1f%%", v*100) }
+
+// ArtifactDir is where the artifact-writing experiments put their
+// BENCH_<exp>.json regression artifacts: the working directory unless
+// the caller (slimbench -out, a test) points it elsewhere.
+var ArtifactDir = "."
+
+// writeArtifact writes rep as indented JSON to ArtifactDir/name and
+// reports the path on w.
+func writeArtifact(w io.Writer, name string, rep any) error {
+	b, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return err
+	}
+	path := filepath.Join(ArtifactDir, name)
+	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "wrote %s\n", path)
+	return nil
+}
 
 func gib(v int64) string { return fmt.Sprintf("%.2f GiB", float64(v)/(1<<30)) }
 func mib(v int64) string { return fmt.Sprintf("%.1f MiB", float64(v)/(1<<20)) }

@@ -3,11 +3,9 @@ package bench
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 
 	"slimstore/internal/container"
 	"slimstore/internal/core"
@@ -51,16 +49,6 @@ type ECReport struct {
 	Experiment string          `json:"experiment"`
 	FileBytes  int             `json:"file_bytes"`
 	Schemes    []ECSchemePoint `json:"schemes"`
-}
-
-// ecOutPath decides where the JSON artifact lands; BENCH_EC_OUT overrides
-// the default.
-func ecOutPath() string {
-	//slimlint:ignore determinism BENCH_EC_OUT only picks where the artifact file lands; it never affects measured results
-	if p := os.Getenv("BENCH_EC_OUT"); p != "" {
-		return p
-	}
-	return "BENCH_ec.json"
 }
 
 func ecData() []byte {
@@ -212,8 +200,7 @@ func RunECBench() (*ECReport, error) {
 }
 
 // runECBench is the registered experiment: it prints the frontier table
-// and writes the BENCH_ec.json regression artifact (path via
-// BENCH_EC_OUT).
+// and writes the BENCH_ec.json regression artifact.
 func runECBench(_ context.Context, w io.Writer, _ Scale) error {
 	rep, err := RunECBench()
 	if err != nil {
@@ -232,14 +219,5 @@ func runECBench(_ context.Context, w io.Writer, _ Scale) error {
 	}
 	t.flush()
 
-	out := ecOutPath()
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %s\n", out)
-	return nil
+	return writeArtifact(w, "BENCH_ec.json", rep)
 }

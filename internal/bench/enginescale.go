@@ -2,10 +2,8 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"time"
 
@@ -53,16 +51,6 @@ type ScaleReport struct {
 	// scaling.
 	HostCPUs int          `json:"host_cpus"`
 	Points   []ScalePoint `json:"points"`
-}
-
-// scaleOutPath decides where the JSON artifact lands; BENCH_OUT overrides
-// the default (BENCH_scale.json in the working directory).
-func scaleOutPath() string {
-	//slimlint:ignore determinism BENCH_OUT only picks where the artifact file lands; it never affects measured results
-	if p := os.Getenv("BENCH_OUT"); p != "" {
-		return p
-	}
-	return "BENCH_scale.json"
 }
 
 // RunEngineScale sweeps the concurrent job engine over lnodeCounts,
@@ -149,7 +137,7 @@ func RunEngineScale(ctx context.Context, lnodeCounts []int, jobsPerNode, fileByt
 }
 
 // runEngineScale is the registered experiment: it prints the sweep and
-// writes the BENCH_scale.json regression artifact (path via BENCH_OUT).
+// writes the BENCH_scale.json regression artifact.
 func runEngineScale(ctx context.Context, w io.Writer, s Scale) error {
 	rep, err := RunEngineScale(ctx, []int{1, 2, 4, 6, 8}, 2, s.FileBytes/4)
 	if err != nil {
@@ -171,14 +159,5 @@ func runEngineScale(ctx context.Context, w io.Writer, s Scale) error {
 		last.BackupWallMBps/base.BackupWallMBps,
 		last.BackupVirtualMBps/base.BackupVirtualMBps)
 
-	out := scaleOutPath()
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %s\n", out)
-	return nil
+	return writeArtifact(w, "BENCH_scale.json", rep)
 }

@@ -4,23 +4,22 @@ import (
 	"context"
 	"encoding/json"
 	"os"
-	"path/filepath"
 	"runtime"
 	"testing"
 )
 
-// TestMain diverts the artifact-writing experiments (BENCH_scale.json
-// via BENCH_OUT, BENCH_gmaint.json via BENCH_GMAINT_OUT; both default to
-// the working directory) so `go test` — which runs every registered
-// experiment — never drops artifacts into the source tree.
+// TestMain points the artifact-writing experiments at a temporary
+// directory, so `go test` — which runs every registered experiment —
+// never drops BENCH_*.json into the source tree.
 func TestMain(m *testing.M) {
-	if os.Getenv("BENCH_OUT") == "" {
-		os.Setenv("BENCH_OUT", filepath.Join(os.TempDir(), "BENCH_scale.json"))
+	dir, err := os.MkdirTemp("", "slimbench")
+	if err != nil {
+		panic(err)
 	}
-	if os.Getenv("BENCH_GMAINT_OUT") == "" {
-		os.Setenv("BENCH_GMAINT_OUT", filepath.Join(os.TempDir(), "BENCH_gmaint.json"))
-	}
-	os.Exit(m.Run())
+	ArtifactDir = dir
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
 }
 
 // TestEngineScaleRegression is the bench-regression gate for the

@@ -2,11 +2,9 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 	"runtime"
 	"time"
 
@@ -67,16 +65,6 @@ type GMaintReport struct {
 	NewContainers  int           `json:"new_containers"`
 	ChunksPer      int           `json:"chunks_per_container"`
 	Points         []GMaintPoint `json:"points"`
-}
-
-// gmaintOutPath decides where the JSON artifact lands; BENCH_GMAINT_OUT
-// overrides the default (BENCH_gmaint.json in the working directory).
-func gmaintOutPath() string {
-	//slimlint:ignore determinism BENCH_GMAINT_OUT only picks where the artifact file lands; it never affects measured results
-	if p := os.Getenv("BENCH_GMAINT_OUT"); p != "" {
-		return p
-	}
-	return "BENCH_gmaint.json"
 }
 
 // buildGMaintRepo populates mem (latency-free: setup is not measured)
@@ -229,7 +217,7 @@ func RunGMaint(workerCounts []int, perOp time.Duration) (*GMaintReport, error) {
 }
 
 // runGMaint is the registered experiment: it prints the sweep and writes
-// the BENCH_gmaint.json regression artifact (path via BENCH_GMAINT_OUT).
+// the BENCH_gmaint.json regression artifact.
 func runGMaint(ctx context.Context, w io.Writer, _ Scale) error {
 	rep, err := RunGMaint([]int{1, 2, 4, 8}, 250*time.Microsecond)
 	if err != nil {
@@ -248,14 +236,5 @@ func runGMaint(ctx context.Context, w io.Writer, _ Scale) error {
 	fmt.Fprintf(w, "reverse-dedup work per pass: %d chunks scanned, %d duplicates removed, %d containers rewritten\n",
 		last.ChunksScanned, last.DupsRemoved, last.Rewritten)
 
-	out := gmaintOutPath()
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %s\n", out)
-	return nil
+	return writeArtifact(w, "BENCH_gmaint.json", rep)
 }

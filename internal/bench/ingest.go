@@ -2,10 +2,8 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"runtime/debug"
 	"strings"
@@ -24,29 +22,33 @@ func init() {
 }
 
 // IngestPoint is one row of the ingest sweep: one worker count, measured
-// on the legacy materialize-everything pipeline and the pooled fast path,
-// over all-unique data (the hash/write-bound worst case).
+// on the pooled fast path and on the serial reference loop (inline
+// hashing, one chunk at a time, the same pack stage), over all-unique
+// data (the hash/write-bound worst case).
 type IngestPoint struct {
 	Workers int `json:"workers"`
 
 	Bytes  int64 `json:"bytes"`
 	Chunks int   `json:"chunks"`
 
-	LegacyWallMS      float64 `json:"legacy_wall_ms"`
-	LegacyWallMBps    float64 `json:"legacy_wall_mbps"`
-	LegacyVirtualMBps float64 `json:"legacy_virtual_mbps"`
+	SerialWallMS   float64 `json:"serial_wall_ms"`
+	SerialWallMBps float64 `json:"serial_wall_mbps"`
+	FastWallMS     float64 `json:"fast_wall_ms"`
+	FastWallMBps   float64 `json:"fast_wall_mbps"`
 
-	FastWallMS      float64 `json:"fast_wall_ms"`
-	FastWallMBps    float64 `json:"fast_wall_mbps"`
-	FastVirtualMBps float64 `json:"fast_virtual_mbps"`
+	// Virtual columns over the fast run's account: serial is the
+	// composition its stats report (every stage back to back), fast the
+	// stage-max pipeline model.
+	SerialVirtualMBps float64 `json:"serial_virtual_mbps"`
+	FastVirtualMBps   float64 `json:"fast_virtual_mbps"`
 
 	// Heap mallocs per chunk over the whole backup (containers, recipes
 	// and index included), a coarse allocation-pressure signal.
-	LegacyMallocsPerChunk float64 `json:"legacy_mallocs_per_chunk"`
+	SerialMallocsPerChunk float64 `json:"serial_mallocs_per_chunk"`
 	FastMallocsPerChunk   float64 `json:"fast_mallocs_per_chunk"`
 
-	// Dedup equivalence check: both pipelines must store identical bytes
-	// in identical chunk counts.
+	// Dedup equivalence check: both paths must store identical bytes in
+	// identical chunk counts.
 	StoredBytesMatch bool `json:"stored_bytes_match"`
 }
 
@@ -62,7 +64,7 @@ type IngestStream struct {
 }
 
 // IngestReport is the BENCH_ingest.json schema: the regression artifact
-// pinning the fast path's advantage over the legacy ingest pipeline.
+// TestIngestRegression gates on.
 type IngestReport struct {
 	Experiment string `json:"experiment"`
 	FileBytes  int    `json:"file_bytes"`
@@ -72,23 +74,11 @@ type IngestReport struct {
 	HostCPUs int           `json:"host_cpus"`
 	Points   []IngestPoint `json:"points"`
 
-	// Steady-state hand-off allocations per pass (chunk→hash→ring for
-	// fast; SplitAll+spawned workers for legacy) — the
+	// Steady-state chunk→hash→ring hand-off allocations per pass — the
 	// TestIngestHandoffAllocs quantity, reproduced here for the artifact.
-	HandoffLegacyAllocs float64 `json:"handoff_legacy_allocs"`
-	HandoffFastAllocs   float64 `json:"handoff_fast_allocs"`
+	HandoffFastAllocs float64 `json:"handoff_fast_allocs"`
 
 	Stream IngestStream `json:"stream"`
-}
-
-// ingestOutPath decides where the JSON artifact lands; BENCH_INGEST_OUT
-// overrides the default (BENCH_ingest.json in the working directory).
-func ingestOutPath() string {
-	//slimlint:ignore determinism BENCH_INGEST_OUT only picks where the artifact file lands; it never affects measured results
-	if p := os.Getenv("BENCH_INGEST_OUT"); p != "" {
-		return p
-	}
-	return "BENCH_ingest.json"
 }
 
 // ingestVirtual composes the virtual elapsed time of the fast pipeline
@@ -140,10 +130,13 @@ func ingestBackup(cfg core.Config, data []byte) (*lnode.BackupStats, uint64, err
 }
 
 // allocsPerRun measures heap allocations per call of f, GC pinned so
-// pool contents survive the measurement (the bench counterpart of
-// testing.AllocsPerRun, usable outside tests).
+// pool contents survive the measurement — the bench counterpart of
+// testing.AllocsPerRun, usable outside tests. Like it, it runs on one P:
+// sync.Pool caches per P, so with several Ps a pooled object recycled on
+// one P is a miss on another, and the count varies with scheduling.
 func allocsPerRun(runs int, f func()) float64 {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	f() // warm up pools and goroutine caches
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -155,14 +148,14 @@ func allocsPerRun(runs int, f func()) float64 {
 }
 
 // ingestConfig is benchConfig with history-aware accelerations off (the
-// fast-path regime) and worker counts pinned per point.
-func ingestConfig(workers int, legacy bool) core.Config {
+// fast-path regime) and worker counts pinned per point; negative
+// hashWorkers selects the serial reference loop.
+func ingestConfig(hashWorkers, packWorkers int) core.Config {
 	cfg := benchConfig()
 	cfg.SkipChunking = false
 	cfg.ChunkMerging = false
-	cfg.HashWorkers = workers
-	cfg.PackWorkers = workers
-	cfg.LegacyIngest = legacy
+	cfg.HashWorkers = hashWorkers
+	cfg.PackWorkers = packWorkers
 	return cfg
 }
 
@@ -219,9 +212,10 @@ func (h *heapPeakReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// RunIngest measures legacy vs fast ingest over workerCounts on one
-// all-unique file of fileBytes, plus the steady-state hand-off allocation
-// comparison and a streaming-residency row over streamBytes.
+// RunIngest measures the fast path against the serial reference loop
+// over workerCounts on one all-unique file of fileBytes, plus the
+// steady-state hand-off allocations and a streaming-residency row over
+// streamBytes.
 func RunIngest(ctx context.Context, workerCounts []int, fileBytes int, streamBytes int64) (*IngestReport, error) {
 	rep := &IngestReport{
 		Experiment: "ingest",
@@ -239,16 +233,16 @@ func RunIngest(ctx context.Context, workerCounts []int, fileBytes int, streamByt
 
 		//slimlint:ignore determinism the wall-clock columns ARE the measurement: this sweep reports host ingest speed next to the virtual model
 		start := time.Now()
-		lst, lMallocs, err := ingestBackup(ingestConfig(w, true), data)
+		sst, sMallocs, err := ingestBackup(ingestConfig(-1, w), data)
 		//slimlint:ignore determinism wall-clock is the measured quantity here
-		lWall := time.Since(start)
+		sWall := time.Since(start)
 		if err != nil {
-			return nil, fmt.Errorf("ingest: legacy backup (w=%d): %w", w, err)
+			return nil, fmt.Errorf("ingest: serial backup (w=%d): %w", w, err)
 		}
 
 		//slimlint:ignore determinism the wall-clock columns ARE the measurement: this sweep reports host ingest speed next to the virtual model
 		start = time.Now()
-		fst, fMallocs, err := ingestBackup(ingestConfig(w, false), data)
+		fst, fMallocs, err := ingestBackup(ingestConfig(w, w), data)
 		//slimlint:ignore determinism wall-clock is the measured quantity here
 		fWall := time.Since(start)
 		if err != nil {
@@ -256,40 +250,31 @@ func RunIngest(ctx context.Context, workerCounts []int, fileBytes int, streamByt
 		}
 
 		pt.Chunks = fst.NumChunks
-		pt.LegacyWallMS = float64(lWall.Microseconds()) / 1e3
-		pt.LegacyWallMBps = simclock.ThroughputMBps(lst.LogicalBytes, lWall)
-		// The legacy pipeline materializes every chunk before the first
-		// lookup: its virtual time is the serial composition the stats
-		// already report.
-		pt.LegacyVirtualMBps = simclock.ThroughputMBps(lst.LogicalBytes, lst.Elapsed)
+		pt.SerialWallMS = float64(sWall.Microseconds()) / 1e3
+		pt.SerialWallMBps = simclock.ThroughputMBps(sst.LogicalBytes, sWall)
 		pt.FastWallMS = float64(fWall.Microseconds()) / 1e3
 		pt.FastWallMBps = simclock.ThroughputMBps(fst.LogicalBytes, fWall)
+		pt.SerialVirtualMBps = simclock.ThroughputMBps(fst.LogicalBytes, fst.Elapsed)
 		pt.FastVirtualMBps = simclock.ThroughputMBps(fst.LogicalBytes, ingestVirtual(fst.Account, w, w))
-		pt.LegacyMallocsPerChunk = float64(lMallocs) / float64(lst.NumChunks)
+		pt.SerialMallocsPerChunk = float64(sMallocs) / float64(sst.NumChunks)
 		pt.FastMallocsPerChunk = float64(fMallocs) / float64(fst.NumChunks)
-		pt.StoredBytesMatch = lst.StoredBytes == fst.StoredBytes && lst.NumChunks == fst.NumChunks
+		pt.StoredBytesMatch = sst.StoredBytes == fst.StoredBytes && sst.NumChunks == fst.NumChunks
 		rep.Points = append(rep.Points, pt)
 	}
 
-	// Steady-state hand-off allocations (pooled vs materialized), measured
-	// on the chunk→hash stage alone.
-	hcfg := ingestConfig(4, false)
-	repo, err := core.OpenRepo(oss.NewMem(), hcfg)
+	// Steady-state hand-off allocations, measured on the chunk→hash
+	// stage alone.
+	repo, err := core.OpenRepo(oss.NewMem(), ingestConfig(4, 4))
 	if err != nil {
 		return nil, err
 	}
 	node := lnode.New(repo, "L0")
-	cutter := repo.Cutter()
 	rep.HandoffFastAllocs = allocsPerRun(10, func() { node.IngestHandoff(data) })
-	rep.HandoffLegacyAllocs = allocsPerRun(10, func() {
-		lnode.LegacyHandoff(hcfg.FingerprintAlg, cutter, data, hcfg.HashWorkers)
-	})
 	node.Close()
 
 	// Streaming ingest: unique stream several windows long, peak live heap
 	// sampled as it flows.
-	scfg := ingestConfig(4, false)
-	srepo, err := core.OpenRepo(discardDataStore{oss.NewMem()}, scfg)
+	srepo, err := core.OpenRepo(discardDataStore{oss.NewMem()}, ingestConfig(4, 4))
 	if err != nil {
 		return nil, err
 	}
@@ -318,7 +303,7 @@ func RunIngest(ctx context.Context, workerCounts []int, fileBytes int, streamByt
 }
 
 // runIngest is the registered experiment: it prints the sweep and writes
-// the BENCH_ingest.json regression artifact (path via BENCH_INGEST_OUT).
+// the BENCH_ingest.json regression artifact.
 func runIngest(ctx context.Context, w io.Writer, s Scale) error {
 	counts := []int{1, 2, 4, 8}
 	rep, err := RunIngest(ctx, counts, s.FileBytes, int64(s.FileBytes)*4)
@@ -326,36 +311,17 @@ func runIngest(ctx context.Context, w io.Writer, s Scale) error {
 		return err
 	}
 
-	t := newTable(w, "Ingest fast path: legacy vs pooled pipeline on unique data (MB/s)")
-	t.row("workers", "legacy wall", "fast wall", "legacy virtual", "fast virtual", "legacy mallocs/chunk", "fast mallocs/chunk")
+	t := newTable(w, "Ingest fast path: serial reference vs pooled pipeline on unique data (MB/s)")
+	t.row("workers", "serial wall", "fast wall", "serial virtual", "fast virtual", "serial mallocs/chunk", "fast mallocs/chunk")
 	for _, p := range rep.Points {
 		t.row(fmt.Sprint(p.Workers),
-			f1(p.LegacyWallMBps), f1(p.FastWallMBps),
-			f1(p.LegacyVirtualMBps), f1(p.FastVirtualMBps),
-			f2(p.LegacyMallocsPerChunk), f2(p.FastMallocsPerChunk))
+			f1(p.SerialWallMBps), f1(p.FastWallMBps),
+			f1(p.SerialVirtualMBps), f1(p.FastVirtualMBps),
+			f2(p.SerialMallocsPerChunk), f2(p.FastMallocsPerChunk))
 	}
 	t.flush()
-	fmt.Fprintf(w, "hand-off allocs/pass: legacy %.1f, fast %.1f (%.0fx lean)\n",
-		rep.HandoffLegacyAllocs, rep.HandoffFastAllocs,
-		rep.HandoffLegacyAllocs/maxf(rep.HandoffFastAllocs, 1))
+	fmt.Fprintf(w, "hand-off allocs/pass: %.1f\n", rep.HandoffFastAllocs)
 	fmt.Fprintf(w, "streaming: %s at %.1f MB/s wall, peak live heap %.1f MiB (input %.0fx resident)\n",
 		mib(rep.Stream.Bytes), rep.Stream.WallMBps, rep.Stream.PeakHeapMiB, rep.Stream.InputOverRes)
-
-	out := ingestOutPath()
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %s\n", out)
-	return nil
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
+	return writeArtifact(w, "BENCH_ingest.json", rep)
 }

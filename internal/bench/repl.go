@@ -2,11 +2,9 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 	"runtime"
 	"sync"
 	"time"
@@ -90,16 +88,6 @@ type ReplReport struct {
 	Overhead       ReplOverhead     `json:"overhead"`
 	Failover       ReplFailover     `json:"failover"`
 	Sweep          []ReplSweepPoint `json:"sweep"`
-}
-
-// replOutPath decides where the JSON artifact lands; BENCH_REPL_OUT
-// overrides the default (BENCH_repl.json in the working directory).
-func replOutPath() string {
-	//slimlint:ignore determinism BENCH_REPL_OUT only picks where the artifact file lands; it never affects measured results
-	if p := os.Getenv("BENCH_REPL_OUT"); p != "" {
-		return p
-	}
-	return "BENCH_repl.json"
 }
 
 // replCountingStore counts every put/get at the base store, underneath
@@ -400,8 +388,7 @@ func RunReplBench(shardCounts []int, perOp time.Duration) (*ReplReport, error) {
 }
 
 // runReplBench is the registered experiment: it prints the three
-// measurements and writes the BENCH_repl.json regression artifact (path
-// via BENCH_REPL_OUT).
+// measurements and writes the BENCH_repl.json regression artifact.
 func runReplBench(ctx context.Context, w io.Writer, _ Scale) error {
 	rep, err := RunReplBench([]int{1, 2, 4}, 250*time.Microsecond)
 	if err != nil {
@@ -427,14 +414,5 @@ func runReplBench(ctx context.Context, w io.Writer, _ Scale) error {
 	}
 	t.flush()
 
-	out := replOutPath()
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %s\n", out)
-	return nil
+	return writeArtifact(w, "BENCH_repl.json", rep)
 }

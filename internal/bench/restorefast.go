@@ -2,10 +2,8 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"time"
 
@@ -23,55 +21,37 @@ func init() {
 	register("restorefast", "Restore fast path: serial vs pooled parallel-verify pipeline (DESIGN.md §14)", runRestoreFast)
 }
 
-// This experiment is the read-side twin of the ingest benchmark: it pins
-// what the pooled restore pipeline (internal/lnode/restorefast.go) buys
-// over the serial per-chunk emit, and that it buys it without changing a
-// single virtual charge. Every point runs the SAME restore twice — once
-// with Config.LegacyRestore (charge, verify, write inside one sequential
-// callback) and once through the emit→verify→write pipeline — and
-// compares accounts: the twin columns must match bit-for-bit while the
-// pipeline's stage-max virtual time pulls ahead.
+// This experiment is the read-side twin of the ingest benchmark: it
+// measures what the pooled restore pipeline (internal/lnode/restorefast.go)
+// buys over a serial per-chunk emit. Each point runs one verify-restore
+// through the emit→verify→write pipeline and reads both models off the
+// same account: the serial composition (every fetch blocks the SHA blocks
+// the write) and the stage-max of the overlapped pipeline. That the
+// pipeline's charges equal the serial emit's, bit for bit, is pinned by
+// the lnode fixture tests (testdata/restore_golden.json).
 
 // restoreFastPolicies is the full policy matrix: the pipeline is
 // policy-agnostic (the prefetcher dispatches from the pinned sequence,
-// not from the policy), so every policy must show the same twin identity.
+// not from the policy), so every policy must show the speedup.
 var restoreFastPolicies = []string{"fv", "opt", "alacc", "lru"}
 
 // RestoreFastPoint is one (policy, verify-worker) cell: the serial
-// composition vs the pipelined stage-max model over identical charges.
+// composition vs the pipelined stage-max model over one account.
 type RestoreFastPoint struct {
 	Policy        string `json:"policy"`
 	VerifyWorkers int    `json:"verify_workers"`
 	Bytes         int64  `json:"bytes"`
+	// BytesMatch: the restore delivered exactly the version's logical
+	// size.
+	BytesMatch bool `json:"bytes_match"`
 
-	// Virtual columns are deterministic: serial is the legacy pipeline's
-	// fully sequential composition (every fetch blocks the SHA blocks the
-	// write); fast is the stage-max of the overlapped pipeline stages
-	// computed over the SAME account totals.
+	// Virtual columns are deterministic.
 	SerialVirtualMBps float64 `json:"serial_virtual_mbps"`
 	FastVirtualMBps   float64 `json:"fast_virtual_mbps"`
 	VirtualSpeedup    float64 `json:"virtual_speedup"`
 
-	// Wall columns are informational (host-dependent).
-	SerialWallMS float64 `json:"serial_wall_ms"`
-	FastWallMS   float64 `json:"fast_wall_ms"`
-
-	// Twin identity: the pipelined run must restore the same bytes and
-	// produce bit-identical virtual accounts (cache stats, CPU, I/O).
-	BytesMatch bool `json:"bytes_match"`
-	StatsMatch bool `json:"stats_match"`
-}
-
-// RestoreFastDense is the dense full-file range-restore control: range
-// restores keep strictly sequential virtual time (the ranged-read
-// planner's cost model is calibrated against it, see BENCH_restoreio),
-// so the pipeline must change nothing there — not even the elapsed time.
-type RestoreFastDense struct {
-	Bytes        int64   `json:"bytes"`
-	SerialMS     float64 `json:"serial_virtual_ms"`
-	FastMS       float64 `json:"fast_virtual_ms"`
-	BytesMatch   bool    `json:"bytes_match"`
-	ElapsedMatch bool    `json:"elapsed_match"`
+	// Wall column is informational (host-dependent).
+	FastWallMS float64 `json:"fast_wall_ms"`
 }
 
 // RestoreFastResidency reports peak live heap while the pipeline streams
@@ -95,24 +75,11 @@ type RestoreFastReport struct {
 	Policies        []string `json:"policies"`
 
 	Points []RestoreFastPoint `json:"points"`
-	Dense  RestoreFastDense   `json:"dense"`
 
-	// Steady-state hand-off allocations per pass: the pooled
-	// emit→verify→write pipeline vs the materialize-per-chunk baseline.
-	HandoffFastAllocs   float64 `json:"handoff_fast_allocs_per_pass"`
-	HandoffLegacyAllocs float64 `json:"handoff_legacy_allocs_per_pass"`
+	// Steady-state emit→verify→write hand-off allocations per pass.
+	HandoffFastAllocs float64 `json:"handoff_fast_allocs_per_pass"`
 
 	Residency RestoreFastResidency `json:"residency"`
-}
-
-// restorefastOutPath decides where the JSON artifact lands;
-// BENCH_RESTOREFAST_OUT overrides the default.
-func restorefastOutPath() string {
-	//slimlint:ignore determinism BENCH_RESTOREFAST_OUT only picks where the artifact file lands; it never affects measured results
-	if p := os.Getenv("BENCH_RESTOREFAST_OUT"); p != "" {
-		return p
-	}
-	return "BENCH_restorefast.json"
 }
 
 // restoreVirtual composes the pipelined restore's virtual elapsed time
@@ -145,9 +112,9 @@ func restoreVirtual(acct *simclock.Account, verifyW, threads int) time.Duration 
 }
 
 // restoreFastChain is slimChain with the node-wide shared restore cache
-// disabled: the twin comparison needs both runs of a pair to hit cold,
-// per-job fetch accounting (a shared cache warmed by the serial run
-// would hand the pipelined run free containers and skew its account).
+// disabled, so every point reads cold and charges its own fetches (a
+// shared cache warmed by the previous point would hand the next one free
+// containers and skew its account).
 func restoreFastChain(gen *workload.Generator, fileIdx, versions int) (*core.Repo, error) {
 	cfg := benchConfig()
 	cfg.SharedCacheBytes = -1
@@ -179,22 +146,6 @@ func restoreFastChain(gen *workload.Generator, fileIdx, versions int) (*core.Rep
 	return repo, nil
 }
 
-// restoreTwinMatch compares the serial and pipelined runs of one
-// restore: same bytes, and bit-identical virtual accounting (cache
-// stats, per-phase CPU totals, I/O totals). The prefetcher's
-// consumed-vs-direct split is scheduling-dependent and excluded — the
-// charges it produces are not.
-func restoreTwinMatch(serial, fast *lnode.RestoreStats) (bytesMatch, statsMatch bool) {
-	bytesMatch = serial.Bytes == fast.Bytes
-	sio, fio := serial.Account.IO(), fast.Account.IO()
-	statsMatch = bytesMatch &&
-		serial.Redirects == fast.Redirects &&
-		serial.Cache == fast.Cache &&
-		sio == fio &&
-		serial.Account.CPUTime() == fast.Account.CPUTime()
-	return bytesMatch, statsMatch
-}
-
 // heapPeakWriter samples live heap every 2 MiB of restored output.
 type heapPeakWriter struct {
 	since int64
@@ -215,10 +166,9 @@ func (h *heapPeakWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// RunRestoreFast measures serial vs pipelined restore over
+// RunRestoreFast measures the pipelined verify-restore over
 // workerCounts × the full policy matrix on one optimised version chain,
-// plus the dense range-restore control, the steady-state hand-off
-// allocation comparison, and a pipelined verify-restore residency row.
+// plus the steady-state hand-off allocations and a residency row.
 func RunRestoreFast(ctx context.Context, workerCounts []int, s Scale) (*RestoreFastReport, error) {
 	versions := clampVersions(s, 8)
 	gen := workload.New(workload.SDB(s.Files, s.FileBytes))
@@ -229,6 +179,10 @@ func RunRestoreFast(ctx context.Context, workerCounts []int, s Scale) (*RestoreF
 		return nil, err
 	}
 	version := versions - 1
+	rec, err := repo.RecipesFor(nil).GetRecipe(fileID, version)
+	if err != nil {
+		return nil, err
+	}
 
 	rep := &RestoreFastReport{
 		Experiment:      "restorefast",
@@ -251,69 +205,33 @@ func RunRestoreFast(ctx context.Context, workerCounts []int, s Scale) (*RestoreF
 		node := lnode.New(repo, fmt.Sprintf("L-w%d", w))
 		for _, policy := range restoreFastPolicies {
 			repo.Config.RestorePolicy = policy
-
-			repo.Config.LegacyRestore = true
-			//slimlint:ignore determinism the wall-clock columns ARE the measurement: this sweep reports host restore speed next to the virtual model
+			//slimlint:ignore determinism the wall-clock column IS the measurement: this sweep reports host restore speed next to the virtual model
 			start := time.Now()
-			sst, err := node.Verify(fileID, version)
+			st, err := node.Verify(fileID, version)
 			//slimlint:ignore determinism wall-clock is the measured quantity here
-			sWall := time.Since(start)
+			wall := time.Since(start)
 			if err != nil {
 				node.Close()
-				return nil, fmt.Errorf("restorefast: serial verify (%s, w=%d): %w", policy, w, err)
+				return nil, fmt.Errorf("restorefast: verify (%s, w=%d): %w", policy, w, err)
 			}
-
-			repo.Config.LegacyRestore = false
-			//slimlint:ignore determinism the wall-clock columns ARE the measurement: this sweep reports host restore speed next to the virtual model
-			start = time.Now()
-			fst, err := node.Verify(fileID, version)
-			//slimlint:ignore determinism wall-clock is the measured quantity here
-			fWall := time.Since(start)
-			if err != nil {
-				node.Close()
-				return nil, fmt.Errorf("restorefast: pipelined verify (%s, w=%d): %w", policy, w, err)
+			pt := RestoreFastPoint{
+				Policy: policy, VerifyWorkers: w,
+				Bytes:             st.Bytes,
+				BytesMatch:        st.Bytes == rec.LogicalBytes(),
+				SerialVirtualMBps: simclock.ThroughputMBps(st.Bytes, st.Account.ElapsedSequential()),
+				FastVirtualMBps:   simclock.ThroughputMBps(st.Bytes, restoreVirtual(st.Account, w, threads)),
+				FastWallMS:        float64(wall.Microseconds()) / 1e3,
 			}
-
-			pt := RestoreFastPoint{Policy: policy, VerifyWorkers: w, Bytes: fst.Bytes}
-			pt.SerialVirtualMBps = simclock.ThroughputMBps(sst.Bytes, sst.Account.ElapsedSequential())
-			pt.FastVirtualMBps = simclock.ThroughputMBps(fst.Bytes, restoreVirtual(fst.Account, w, threads))
 			if pt.SerialVirtualMBps > 0 {
 				pt.VirtualSpeedup = pt.FastVirtualMBps / pt.SerialVirtualMBps
 			}
-			pt.SerialWallMS = float64(sWall.Microseconds()) / 1e3
-			pt.FastWallMS = float64(fWall.Microseconds()) / 1e3
-			pt.BytesMatch, pt.StatsMatch = restoreTwinMatch(sst, fst)
 			rep.Points = append(rep.Points, pt)
 		}
 		node.Close()
 	}
 
-	// Dense control: a full-file range restore must be untouched by the
-	// pipeline — identical bytes AND identical (strictly sequential)
-	// virtual elapsed time, so the restoreio cost-model calibration holds.
-	repo.Config.RestorePolicy = "fv"
-	node := lnode.New(repo, "L-dense")
-	defer node.Close()
-	repo.Config.LegacyRestore = true
-	dst, err := node.RestoreRange(fileID, version, 0, -1, io.Discard)
-	if err != nil {
-		return nil, fmt.Errorf("restorefast: serial dense range restore: %w", err)
-	}
-	repo.Config.LegacyRestore = false
-	fdt, err := node.RestoreRange(fileID, version, 0, -1, io.Discard)
-	if err != nil {
-		return nil, fmt.Errorf("restorefast: pipelined dense range restore: %w", err)
-	}
-	rep.Dense = RestoreFastDense{
-		Bytes:        fdt.Bytes,
-		SerialMS:     float64(dst.Elapsed.Microseconds()) / 1e3,
-		FastMS:       float64(fdt.Elapsed.Microseconds()) / 1e3,
-		BytesMatch:   dst.Bytes == fdt.Bytes,
-		ElapsedMatch: dst.Elapsed == fdt.Elapsed,
-	}
-
 	// Steady-state hand-off allocations: drive synthetic chunks through
-	// the pooled pipeline vs the materialize-per-chunk baseline.
+	// the pooled pipeline.
 	hcfg := benchConfig()
 	hrepo, err := core.OpenRepo(oss.NewMem(), hcfg)
 	if err != nil {
@@ -336,12 +254,12 @@ func RunRestoreFast(ctx context.Context, workerCounts []int, s Scale) (*RestoreF
 		}
 	}
 	rep.HandoffFastAllocs = allocsPerRun(10, func() { hnode.RestoreHandoff(chunks, seq, true) })
-	rep.HandoffLegacyAllocs = allocsPerRun(10, func() {
-		lnode.LegacyRestoreHandoff(hcfg.FingerprintAlg, chunks, seq, true)
-	})
 
 	// Residency: peak live heap while the pipeline streams a full
 	// verify-restore through the bounded window.
+	repo.Config.RestorePolicy = "fv"
+	node := lnode.New(repo, "L-residency")
+	defer node.Close()
 	runtime.GC()
 	var base runtime.MemStats
 	runtime.ReadMemStats(&base)
@@ -364,43 +282,28 @@ func RunRestoreFast(ctx context.Context, workerCounts []int, s Scale) (*RestoreF
 }
 
 // runRestoreFast is the registered experiment: it prints the sweep and
-// writes the BENCH_restorefast.json regression artifact (path via
-// BENCH_RESTOREFAST_OUT).
+// writes the BENCH_restorefast.json regression artifact.
 func runRestoreFast(ctx context.Context, w io.Writer, s Scale) error {
 	rep, err := RunRestoreFast(ctx, []int{1, 2, 4, 8}, s)
 	if err != nil {
 		return err
 	}
 
-	t := newTable(w, "Restore fast path: serial vs pooled parallel-verify pipeline (virtual MB/s)")
-	t.row("policy", "verifyW", "serial virtual", "fast virtual", "speedup", "serial wall ms", "fast wall ms", "twin")
+	t := newTable(w, "Restore fast path: serial composition vs pooled parallel-verify pipeline (virtual MB/s)")
+	t.row("policy", "verifyW", "serial virtual", "fast virtual", "speedup", "fast wall ms", "bytes")
 	for _, p := range rep.Points {
-		twin := "ok"
-		if !p.BytesMatch || !p.StatsMatch {
-			twin = "MISMATCH"
+		bytes := "ok"
+		if !p.BytesMatch {
+			bytes = "MISMATCH"
 		}
 		t.row(p.Policy, fmt.Sprint(p.VerifyWorkers),
 			f1(p.SerialVirtualMBps), f1(p.FastVirtualMBps), f2(p.VirtualSpeedup),
-			f1(p.SerialWallMS), f1(p.FastWallMS), twin)
+			f1(p.FastWallMS), bytes)
 	}
 	t.flush()
-	fmt.Fprintf(w, "dense range restore: serial %.1f ms vs pipelined %.1f ms (elapsed match %v, bytes match %v)\n",
-		rep.Dense.SerialMS, rep.Dense.FastMS, rep.Dense.ElapsedMatch, rep.Dense.BytesMatch)
-	fmt.Fprintf(w, "hand-off allocs/pass: legacy %.1f, fast %.1f (%.0fx lean)\n",
-		rep.HandoffLegacyAllocs, rep.HandoffFastAllocs,
-		rep.HandoffLegacyAllocs/maxf(rep.HandoffFastAllocs, 1))
+	fmt.Fprintf(w, "hand-off allocs/pass: %.1f\n", rep.HandoffFastAllocs)
 	fmt.Fprintf(w, "pipelined verify-restore of %s: peak live heap %.1f MiB (base %.1f MiB, pipeline +%.1f MiB)\n",
 		mib(rep.Residency.RestoredBytes), rep.Residency.PeakHeapMiB,
 		rep.Residency.BaseHeapMiB, rep.Residency.PipelineMiB)
-
-	out := restorefastOutPath()
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %s\n", out)
-	return nil
+	return writeArtifact(w, "BENCH_restorefast.json", rep)
 }

@@ -3,11 +3,9 @@ package bench
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 	"strings"
 	"sync"
 
@@ -78,16 +76,6 @@ type RestoreIOReport struct {
 	Windows        int                     `json:"windows_per_point"`
 	Sparse         []RestoreIOSparsePoint  `json:"sparse"`
 	Overlap        []RestoreIOOverlapPoint `json:"overlap"`
-}
-
-// restoreioOutPath decides where the JSON artifact lands;
-// BENCH_RESTOREIO_OUT overrides the default.
-func restoreioOutPath() string {
-	//slimlint:ignore determinism BENCH_RESTOREIO_OUT only picks where the artifact file lands; it never affects measured results
-	if p := os.Getenv("BENCH_RESTOREIO_OUT"); p != "" {
-		return p
-	}
-	return "BENCH_restoreio.json"
 }
 
 func rioData() []byte {
@@ -320,8 +308,7 @@ func RunRestoreIO(ctx context.Context, windowSizes []int, jobCounts []int) (*Res
 }
 
 // runRestoreIO is the registered experiment: it prints both sweeps and
-// writes the BENCH_restoreio.json regression artifact (path via
-// BENCH_RESTOREIO_OUT).
+// writes the BENCH_restoreio.json regression artifact.
 func runRestoreIO(ctx context.Context, w io.Writer, _ Scale) error {
 	rep, err := RunRestoreIO(ctx, []int{16 << 10, 64 << 10, 256 << 10, 0}, []int{2, 4, 8})
 	if err != nil {
@@ -351,14 +338,5 @@ func runRestoreIO(ctx context.Context, w io.Writer, _ Scale) error {
 	}
 	t.flush()
 
-	out := restoreioOutPath()
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %s\n", out)
-	return nil
+	return writeArtifact(w, "BENCH_restoreio.json", rep)
 }

@@ -124,20 +124,6 @@ type Config struct {
 	// O(window × chunk size). 0 selects the default (256); values below 2
 	// are clamped to 2 (the minimum that still overlaps).
 	RestoreWindow int
-	// LegacyRestore selects the pre-fast-path serial restore emit: every
-	// chunk is charged, verified, and written inside one sequential
-	// callback. Default false — the pooled reassembly-ring pipeline
-	// (DESIGN.md §14). The restorefast benchmark uses this as its
-	// measured baseline, the way LegacyIngest serves the ingest
-	// experiment.
-	LegacyRestore bool
-	// LegacyIngest selects the pre-fast-path pipelined ingest on the
-	// content-defined path: materialize every chunk into one []Chunk,
-	// spawn hash workers per call, probe the dedup cache chunk-by-chunk.
-	// Default false — the pooled ring fast path (DESIGN.md §13). The
-	// ingest benchmark uses this as its measured baseline, the way
-	// DisableRangedReads serves the restoreio experiment.
-	LegacyIngest bool
 	// InlineGlobalProbe extends the fast ingest path with batched probes
 	// of the global fingerprint index: chunks that miss the job's local
 	// dedup cache are looked up in the global index (one GetBatch per

@@ -154,21 +154,13 @@ func TestSpecificInvariants(t *testing.T) {
 	}
 }
 
-// TestCrossPackageInversion is the acceptance proof for the call-graph
-// rebase: the seeded FileLocks-under-ContainerLocks inversion in
-// xlock_bad routes through the xlock_dep package, so the legacy
-// one-level, same-package engine misses it entirely while the
-// whole-program engine reports both call chains.
+// TestCrossPackageInversion: the seeded FileLocks-under-ContainerLocks
+// inversion in xlock_bad routes through the xlock_dep package, one and
+// two frames deep; the whole-program engine must report both call
+// chains.
 func TestCrossPackageInversion(t *testing.T) {
 	l := newTestLoader(t)
 	pkgs := loadFixture(t, l, "xlock_bad")
-
-	legacy := lockOrderLegacyFindings(pkgs[0])
-	for _, f := range legacy {
-		if strings.Contains(f.Message, "is held") {
-			t.Fatalf("legacy engine unexpectedly caught the cross-package inversion: %s", f.Message)
-		}
-	}
 
 	findings := Run(pkgs)
 	if !hasFinding(findings, "lockorder", "calls xlock_dep.TouchFile, which acquires FileLocks") {

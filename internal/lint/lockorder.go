@@ -269,51 +269,6 @@ func runLockOrder(pr *program, p *Package) []Finding {
 	})
 }
 
-// lockOrderLegacyFindings is the pre-v2 engine: one level of same-package
-// calls only, no transitivity, no interface fan-out. It exists as a test
-// hook so lint_test.go can prove the cross-package fixtures are invisible
-// to it.
-func lockOrderLegacyFindings(p *Package) []Finding {
-	summaries := map[*types.Func]*lockSummary{}
-	for _, f := range p.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, ok := p.Info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			sum := &lockSummary{}
-			inspectShallow(fd.Body, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok {
-					if ev := classifyLockCall(p, call); ev != nil && ev.acquire {
-						sum.acquires = append(sum.acquires, transAcquire{family: ev.family, key: ev.key})
-					}
-				}
-				return true
-			})
-			summaries[fn] = sum
-		}
-	}
-	return lockOrderWalk(p, func(call *ast.CallExpr) []callAcquire {
-		fn := p.calleeFunc(call)
-		if fn == nil || fn.Pkg() != p.Types {
-			return nil
-		}
-		sum := summaries[fn]
-		if sum == nil {
-			return nil
-		}
-		var out []callAcquire
-		for _, a := range sum.acquires {
-			out = append(out, callAcquire{chain: []*types.Func{fn}, family: a.family, key: a.key})
-		}
-		return out
-	})
-}
-
 // lockOrderWalk runs the body walker over every function in p with the
 // given call-site resolver.
 func lockOrderWalk(p *Package, resolve func(*ast.CallExpr) []callAcquire) []Finding {

@@ -1,8 +1,8 @@
 // Package xlock_bad holds a container stripe and calls into xlock_dep,
 // which acquires a file stripe: a FileLocks-under-ContainerLocks
 // inversion that only a cross-package, transitive call graph can see.
-// TestCrossPackageInversion proves the legacy one-level engine misses
-// every finding in this package.
+// TestCrossPackageInversion checks the engine reports both the one- and
+// the two-frame chain.
 package xlock_bad
 
 import (

@@ -263,7 +263,7 @@ func (n *LNode) Backup(fileID string, data []byte) (*BackupStats, error) {
 // stream and calling Backup.
 func (n *LNode) BackupStream(fileID string, rd io.Reader) (*BackupStats, error) {
 	cfg := &n.repo.Config
-	if cfg.SkipChunking || cfg.ChunkMerging || cfg.HashWorkers <= 0 || cfg.LegacyIngest {
+	if cfg.SkipChunking || cfg.ChunkMerging || cfg.HashWorkers <= 0 {
 		data, err := io.ReadAll(rd)
 		if err != nil {
 			return nil, fmt.Errorf("lnode: read stream: %w", err)
@@ -334,14 +334,8 @@ func (j *backupJob) detectBase(fileID string, data []byte) error {
 		}
 		chunks = append(chunks, ch)
 	}
-	var all []fingerprint.FP
-	if j.cfg.LegacyIngest {
-		all = hashChunks(j.cfg.FingerprintAlg, chunks, j.cfg.HashWorkers)
-	} else {
-		all = j.node.hashAll(j.cfg.FingerprintAlg, chunks)
-	}
 	var fps []fingerprint.FP
-	for _, fp := range all {
+	for _, fp := range j.node.hashAll(j.cfg.FingerprintAlg, chunks) {
 		if j.sampler.Sample(fp) {
 			fps = append(fps, fp)
 		}
@@ -452,14 +446,10 @@ func (j *backupJob) successor(e *dedupEntry) (dedupEntry, bool) {
 // chunking and SuperChunking.
 func (j *backupJob) dedupe() error {
 	// With both history-aware accelerations off, chunk boundaries no longer
-	// depend on dedup decisions, so chunking+fingerprinting can run as a
-	// parallel front stage: the pooled batch pipeline (ingest.go), or the
-	// materialize-everything legacy pipeline (pipeline.go) kept as the
-	// measured baseline behind Config.LegacyIngest.
+	// depend on dedup decisions (skip cuts and merges make the next cut
+	// depend on the previous verdict), so chunking and fingerprinting run
+	// as a parallel front stage: the pooled batch pipeline (ingest.go).
 	if !j.cfg.SkipChunking && !j.cfg.ChunkMerging && j.cfg.HashWorkers > 0 {
-		if j.cfg.LegacyIngest {
-			return j.dedupeLegacy()
-		}
 		return j.dedupeFast()
 	}
 	cutter := j.node.repo.Cutter()

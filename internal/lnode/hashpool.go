@@ -8,11 +8,19 @@ import (
 )
 
 // This file is the persistent fingerprint worker pool of the ingest fast
-// path (DESIGN.md §13). The pre-fast-path pipeline spawned HashWorkers
-// goroutines per hashChunks call; an L-node now owns one long-lived pool
-// fed over a channel, so the steady-state hot path schedules work without
-// goroutine churn. The pool is lazily created on first use and torn down
-// by Close (the jobs engine closes its L-nodes when a host retires).
+// path (DESIGN.md §13). An L-node owns one long-lived pool fed over a
+// channel, so the hot path schedules work without spawning goroutines
+// per call. The pool is lazily created on first use and torn down by
+// Close (the jobs engine closes its L-nodes when a host retires).
+//
+// No simclock charges happen here: callers account for the hashing
+// themselves (the probe pass bills OtherPerByte, the ring consumer
+// charges per chunk).
+
+// smallHashBatch is the per-worker chunk count at or below which handing
+// work to the pool costs more than hashing inline — measured by
+// BenchmarkHashChunksCrossover.
+const smallHashBatch = 2
 
 // hashJob is one unit of pool work: fingerprint chunks[i] into fps[i]
 // for every i, then signal done. chunks and fps are owned by the
@@ -92,28 +100,31 @@ func (n *LNode) Close() {
 	}
 }
 
-// hashAll fingerprints chunks in input order through the persistent pool,
-// splitting the slice into one contiguous range per worker. Small inputs
-// (<= smallHashBatch chunks per worker) hash inline — the crossover below
-// which handing work to the pool costs more than the hashing
-// (BenchmarkHashChunksCrossover).
+// hashAll fingerprints chunks in input order: through the persistent
+// pool when the input is large enough to amortise the hand-off (more than
+// smallHashBatch chunks per worker), inline otherwise.
 func (n *LNode) hashAll(alg fingerprint.Algorithm, chunks []chunker.Chunk) []fingerprint.FP {
-	w := n.repo.Config.HashWorkers
-	pool := n.hashers()
-	if pool == nil || len(chunks) <= smallHashBatch*w {
-		return hashChunks(alg, chunks, 1)
-	}
 	fps := make([]fingerprint.FP, len(chunks))
-	stride := (len(chunks) + w - 1) / w
+	w := n.repo.Config.HashWorkers
+	if pool := n.hashers(); pool != nil && len(chunks) > smallHashBatch*w {
+		pool.hashStrided(alg, chunks, fps, w)
+		return fps
+	}
+	for i := range chunks {
+		fps[i] = fingerprint.Of(alg, chunks[i].Data)
+	}
+	return fps
+}
+
+// hashStrided fingerprints chunks into fps over the pool, one contiguous
+// range per worker (ways ranges in all), and waits for every range.
+func (p *hashPool) hashStrided(alg fingerprint.Algorithm, chunks []chunker.Chunk, fps []fingerprint.FP, ways int) {
+	stride := (len(chunks) + ways - 1) / ways
 	var wg sync.WaitGroup
 	for s := 0; s < len(chunks); s += stride {
-		e := s + stride
-		if e > len(chunks) {
-			e = len(chunks)
-		}
+		e := min(s+stride, len(chunks))
 		wg.Add(1)
-		pool.submit(hashJob{alg: alg, chunks: chunks[s:e], fps: fps[s:e], done: &wg})
+		p.submit(hashJob{alg: alg, chunks: chunks[s:e], fps: fps[s:e], done: &wg})
 	}
 	wg.Wait()
-	return fps
 }

@@ -15,12 +15,10 @@ import (
 
 // This file is the allocation-lean ingest fast path (DESIGN.md §13):
 // chunk → fingerprint → dedupe → pack as a bounded pipeline of pooled
-// batches. It replaces the materialize-everything hand-off of the legacy
-// pipeline (pipeline.go) — which buffered every chunk header and
-// fingerprint of the version before the first dedup lookup — with a ring
-// of recycled chunk batches, so a multi-GiB stream ingests in O(window)
-// resident memory and the steady-state hot loop allocates (almost)
-// nothing.
+// batches. Chunks flow through a ring of recycled batches rather than
+// being materialised for the whole version before the first dedup
+// lookup, so a multi-GiB stream ingests in O(window) resident memory and
+// the steady-state hot loop allocates (almost) nothing.
 //
 // Ownership discipline:
 //   - The producer cuts chunks into batches and hands each batch to the
@@ -468,13 +466,4 @@ func (n *LNode) IngestHandoff(data []byte) int {
 	}
 	n.putIngestRun(r)
 	return total
-}
-
-// LegacyHandoff is the pre-fast-path hand-off for the same work:
-// materialize every chunk, then fingerprint with per-call spawned
-// workers. Kept as the benchmark baseline IngestHandoff is gated against.
-func LegacyHandoff(alg fingerprint.Algorithm, cutter chunker.Cutter, data []byte, workers int) int {
-	chunks := chunker.SplitAll(data, cutter)
-	fps := hashChunks(alg, chunks, workers)
-	return len(fps)
 }

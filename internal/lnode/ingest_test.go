@@ -13,6 +13,7 @@ import (
 	"slimstore/internal/chunker"
 	"slimstore/internal/container"
 	"slimstore/internal/core"
+	"slimstore/internal/fingerprint"
 	"slimstore/internal/gnode"
 	"slimstore/internal/oss"
 	"slimstore/internal/recipe"
@@ -86,32 +87,6 @@ func TestIngestTwinSerial(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestIngestTwinLegacy pins the fast path against the legacy pipelined
-// ingest on recipes and dedup counters. (Virtual time is excluded: the
-// legacy path charges fingerprinting as one lump sum, which may round
-// differently from per-chunk charging by a few nanoseconds.)
-func TestIngestTwinLegacy(t *testing.T) {
-	v0 := genData(17, 3<<20)
-	versions := [][]byte{v0, mutate(v0, 18, 150)}
-
-	fastStats, fastRecs := backupVersions(t, fastConfig(), versions)
-
-	legacyCfg := fastConfig()
-	legacyCfg.LegacyIngest = true
-	legacyStats, legacyRecs := backupVersions(t, legacyCfg, versions)
-
-	for i := range versions {
-		f, l := fastStats[i], legacyStats[i]
-		f.Elapsed, l.Elapsed = 0, 0
-		if !reflect.DeepEqual(f, l) {
-			t.Errorf("v%d stats diverge:\nfast:   %+v\nlegacy: %+v", i, f, l)
-		}
-		if !reflect.DeepEqual(fastRecs[i], legacyRecs[i]) {
-			t.Errorf("v%d recipes diverge", i)
-		}
 	}
 }
 
@@ -217,9 +192,17 @@ func TestInlineGlobalProbe(t *testing.T) {
 	}
 }
 
+// recordedMaterializedHandoffAllocs is the allocations per pass of the
+// materialize-everything hand-off the pooled ingest pipeline replaced
+// (cut every chunk of the version, then fingerprint over per-call
+// goroutines), measured on this test's input before that hand-off was
+// deleted.
+const recordedMaterializedHandoffAllocs = 18.0
+
 // TestIngestHandoffAllocs is the steady-state allocation gate of the fast
-// path: the pooled chunk→hash→ring hand-off must allocate at least 10x
-// less per pass than the legacy materialize-everything hand-off.
+// path: the pooled chunk→hash→ring hand-off must allocate at most 4 per
+// pass, and at least 10x less than the recorded materialize-everything
+// hand-off.
 func TestIngestHandoffAllocs(t *testing.T) {
 	cfg := fastConfig()
 	n, repo := newNode(t, cfg)
@@ -236,12 +219,7 @@ func TestIngestHandoffAllocs(t *testing.T) {
 	}
 	fast := testing.AllocsPerRun(10, func() { n.IngestHandoff(data) })
 
-	cutter := repo.Cutter()
-	legacy := testing.AllocsPerRun(10, func() {
-		LegacyHandoff(cfg.FingerprintAlg, cutter, data, cfg.HashWorkers)
-	})
-
-	t.Logf("allocs/pass over %d chunks: fast=%.1f legacy=%.1f", want, fast, legacy)
+	t.Logf("allocs/pass over %d chunks: fast=%.1f (recorded materialize-everything: %.1f)", want, fast, recordedMaterializedHandoffAllocs)
 	if raceEnabled {
 		// Race instrumentation allocates shadow state per goroutine and
 		// channel op; the counts only mean anything uninstrumented.
@@ -250,8 +228,8 @@ func TestIngestHandoffAllocs(t *testing.T) {
 	if fast > 4 {
 		t.Errorf("fast hand-off allocates %.1f/pass, want <= 4", fast)
 	}
-	if fast*10 > legacy {
-		t.Errorf("fast hand-off %.1f allocs/pass is not 10x below legacy %.1f", fast, legacy)
+	if fast*10 > recordedMaterializedHandoffAllocs {
+		t.Errorf("fast hand-off %.1f allocs/pass is not 10x below the recorded %.1f", fast, recordedMaterializedHandoffAllocs)
 	}
 }
 
@@ -362,12 +340,7 @@ type iotest struct{}
 func (iotest) Read([]byte) (int, error) { return 0, io.ErrClosedPipe }
 
 func BenchmarkIngestHandoff(b *testing.B) {
-	cfg := fastConfig()
-	repo, err := core.OpenRepo(oss.NewMem(), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := New(repo, "l0")
+	n, _ := newNode(b, fastConfig())
 	defer n.Close()
 	data := genData(3, 8<<20)
 	b.SetBytes(int64(len(data)))
@@ -378,42 +351,31 @@ func BenchmarkIngestHandoff(b *testing.B) {
 	}
 }
 
-func BenchmarkLegacyHandoff(b *testing.B) {
-	cfg := fastConfig()
-	repo, err := core.OpenRepo(oss.NewMem(), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cutter := repo.Cutter()
-	data := genData(3, 8<<20)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		LegacyHandoff(cfg.FingerprintAlg, cutter, data, cfg.HashWorkers)
-	}
-}
-
 // BenchmarkHashChunksCrossover locates the input size below which
-// spawning hash workers costs more than hashing inline — the basis for
-// the smallHashBatch threshold.
+// handing chunks to the persistent pool costs more than hashing them
+// inline — the basis for the smallHashBatch threshold hashAll applies.
 func BenchmarkHashChunksCrossover(b *testing.B) {
 	cfg := fastConfig()
-	repo, err := core.OpenRepo(oss.NewMem(), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cutter := repo.Cutter()
+	n, repo := newNode(b, cfg)
+	defer n.Close()
+	pool := n.hashers()
 	for _, nchunks := range []int{1, 2, 8, 64, 512} {
 		data := genData(9, nchunks*cfg.ChunkParams.Avg)
-		chunks := chunker.SplitAll(data, cutter)
-		for _, workers := range []int{1, 4} {
-			b.Run(fmt.Sprintf("chunks=%d/workers=%d", len(chunks), workers), func(b *testing.B) {
-				b.SetBytes(int64(len(data)))
-				for i := 0; i < b.N; i++ {
-					hashChunks(cfg.FingerprintAlg, chunks, workers)
+		chunks := chunker.SplitAll(data, repo.Cutter())
+		fps := make([]fingerprint.FP, len(chunks))
+		b.Run(fmt.Sprintf("chunks=%d/inline", len(chunks)), func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			for i := 0; i < b.N; i++ {
+				for k := range chunks {
+					fps[k] = fingerprint.Of(cfg.FingerprintAlg, chunks[k].Data)
 				}
-			})
-		}
+			}
+		})
+		b.Run(fmt.Sprintf("chunks=%d/pool=%d", len(chunks), cfg.HashWorkers), func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			for i := 0; i < b.N; i++ {
+				pool.hashStrided(cfg.FingerprintAlg, chunks, fps, cfg.HashWorkers)
+			}
+		})
 	}
 }

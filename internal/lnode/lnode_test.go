@@ -2,6 +2,7 @@ package lnode
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -25,7 +26,7 @@ func testConfig() core.Config {
 	return cfg
 }
 
-func newNode(t *testing.T, cfg core.Config) (*LNode, *core.Repo) {
+func newNode(t testing.TB, cfg core.Config) (*LNode, *core.Repo) {
 	t.Helper()
 	repo, err := core.OpenRepo(oss.NewMem(), cfg)
 	if err != nil {
@@ -400,6 +401,7 @@ func TestRestoreRange(t *testing.T) {
 		{12345, 1},                   // single byte
 		{0, -1},                      // whole file via range API
 		{int64(len(data)), 100},      // empty at EOF
+		{10, math.MaxInt64},          // whole tail: off+length overflows
 	}
 	for _, c := range cases {
 		var buf bytes.Buffer
@@ -408,7 +410,7 @@ func TestRestoreRange(t *testing.T) {
 			t.Fatalf("range [%d,+%d): %v", c.off, c.length, err)
 		}
 		end := int64(len(data))
-		if c.length >= 0 && c.off+c.length < end {
+		if c.length >= 0 && c.length < end-c.off {
 			end = c.off + c.length
 		}
 		want := data[c.off:end]

@@ -102,30 +102,9 @@ func (n *LNode) restore(fileID string, version int, w io.Writer, verify bool) (*
 		fetch = pf.Fetch
 	}
 
-	var emit cache.Emit
-	var run *restoreRun
-	if cfg.LegacyRestore {
-		pos := 0
-		emit = func(data []byte) error {
-			acct.ChargeCPUBytes(simclock.PhaseOther, int64(len(data)), cfg.Costs.RestorePerByte)
-			if verify {
-				if got := n.repo.Fingerprint(acct, data); got != seq[pos].FP {
-					return fmt.Errorf("lnode: verify %s v%d: chunk %d corrupt (got %s, want %s)",
-						fileID, version, pos, got.Short(), seq[pos].FP.Short())
-				}
-			}
-			pos++
-			_, werr := w.Write(data)
-			return werr
-		}
-	} else {
-		run = n.newRestoreRun(acct, w, verify, seq, fileID, version)
-		emit = run.emit
-	}
-	cstats, err := policy.Restore(seq, fetch, emit)
-	if run != nil {
-		_, err = run.finish(err)
-	}
+	run := n.newRestoreRun(acct, w, verify, seq, fileID, version)
+	cstats, err := policy.Restore(seq, fetch, run.emit)
+	_, err = run.finish(err)
 	if err != nil {
 		return nil, fmt.Errorf("lnode: restore %s v%d: %w", fileID, version, err)
 	}

@@ -2,15 +2,22 @@ package lnode
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"os"
 	"reflect"
 	"runtime/debug"
+	"strings"
 	"testing"
+	"time"
 
 	"slimstore/internal/cache"
 	"slimstore/internal/chunker"
 	"slimstore/internal/core"
 	"slimstore/internal/fingerprint"
-	"slimstore/internal/oss"
+	"slimstore/internal/gnode"
+	"slimstore/internal/simclock"
 )
 
 // restorePolicies are the four cache policies the restore pipeline must
@@ -41,30 +48,125 @@ func prefetchConserved(t *testing.T, st *RestoreStats) {
 	}
 }
 
-// restoreTwin runs one restore in the given mode and returns comparable
-// stats plus the restored bytes.
-func restoreTwin(t *testing.T, n *LNode, repo *core.Repo, fileID string, version int, legacy bool) (RestoreStats, []byte) {
-	t.Helper()
-	repo.Config.LegacyRestore = legacy
-	var buf bytes.Buffer
-	st, err := n.Restore(fileID, version, &buf)
-	if err != nil {
-		t.Fatalf("restore %s v%d (legacy=%v): %v", fileID, version, legacy, err)
-	}
-	return comparableRestore(st), buf.Bytes()
+// restoreGoldenPath holds the virtual accounts of every restore shape
+// the pipeline serves, recorded from the serial per-chunk emit (charge,
+// verify and write inside one callback) that the pipeline replaced. The
+// pipeline must reproduce each entry bit-for-bit: it issues its charges
+// in sequence order with the serial emit's per-chunk truncation
+// (DESIGN.md §14), whatever the worker count or interleaving. The file
+// is a recorded baseline, not an output: no test rewrites it.
+const restoreGoldenPath = "testdata/restore_golden.json"
+
+// goldenEntry is one fixture record: the comparable stats (virtual
+// Elapsed included) plus the account's I/O and CPU totals.
+type goldenEntry struct {
+	Stats RestoreStats
+	IO    simclock.IOStats
+	CPU   time.Duration
 }
 
-// TestRestoreTwinSerial pins the pipelined restore to the serial emit:
-// identical restored bytes and field-for-field identical stats (including
-// bit-identical virtual Elapsed) for every cache policy, with LAW
-// prefetching engaged for all of them. Run under -race by
-// scripts/check.sh, which also exercises the pipeline's concurrency.
-func TestRestoreTwinSerial(t *testing.T) {
+// goldenCase is one restore-shaped job the fixture pins. want is the
+// expected sink output; nil for Verify, which writes to a null sink.
+type goldenCase struct {
+	name string
+	want []byte
+	run  func(w io.Writer) (*RestoreStats, error)
+}
+
+// checkGolden runs every case under each cache policy (set on repos)
+// and compares it with the fixture entry "kind/policy/name". Entries
+// under "kind/policy/" that no case ran are reported too, so the
+// fixture cannot silently outgrow the tests.
+func checkGolden(t *testing.T, kind string, repos []*core.Repo, cases []goldenCase) {
+	raw, err := os.ReadFile(restoreGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden map[string]goldenEntry
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		t.Fatalf("%s: %v", restoreGoldenPath, err)
+	}
+	for _, policy := range restorePolicies {
+		t.Run(policy, func(t *testing.T) {
+			for _, r := range repos {
+				r.Config.RestorePolicy = policy
+			}
+			prefix := kind + "/" + policy + "/"
+			seen := map[string]bool{}
+			for _, c := range cases {
+				name := prefix + c.name
+				seen[name] = true
+				var buf bytes.Buffer
+				st, err := c.run(&buf)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if c.want != nil && !bytes.Equal(buf.Bytes(), c.want) {
+					t.Fatalf("%s: restored %d bytes that differ from the %d backed up", name, buf.Len(), len(c.want))
+				}
+				prefetchConserved(t, st)
+				got := goldenEntry{Stats: comparableRestore(st), IO: st.Account.IO(), CPU: st.Account.CPUTime()}
+				if want, ok := golden[name]; !ok {
+					t.Errorf("%s: no fixture entry", name)
+				} else if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s diverges from the serial-emit fixture:\ngot:  %+v\nwant: %+v", name, got, want)
+				}
+			}
+			for name := range golden {
+				if strings.HasPrefix(name, prefix) && !seen[name] {
+					t.Errorf("fixture entry %s was not exercised", name)
+				}
+			}
+		})
+	}
+}
+
+// goldenNode is a fresh node for fixture runs. The node-wide shared
+// cache is off, so every job reads cold, independent of the jobs before
+// it (and of the order the cases run in).
+func goldenNode(t *testing.T) (*LNode, *core.Repo) {
 	cfg := testConfig()
-	// The node-wide shared cache would let each run warm the next one;
-	// twin runs must see identical reads, so disable it.
 	cfg.SharedCacheBytes = -1
-	n, repo := newNode(t, cfg)
+	return newNode(t, cfg)
+}
+
+// goldenChain backs up four versions of one file, each followed by
+// reverse dedup and sparse-container compaction. The oldest version's
+// chunks then resolve through redirects, the restore shape a plain
+// backup never produces.
+func goldenChain(t *testing.T) (*LNode, *core.Repo, []byte) {
+	t.Helper()
+	n, repo := goldenNode(t)
+	g := gnode.New(repo)
+	v0 := genData(69, 3<<20)
+	data := v0
+	for v := 0; v < 4; v++ {
+		if v > 0 {
+			data = mutate(data, int64(69+v), 150)
+		}
+		st, err := n.Backup("chain", data)
+		if err != nil {
+			t.Fatalf("backup chain v%d: %v", v, err)
+		}
+		if _, err := g.ReverseDedup(st.NewContainers); err != nil {
+			t.Fatalf("reverse dedup v%d: %v", v, err)
+		}
+		if _, err := g.CompactSparse("chain", v, st.SparseContainers); err != nil {
+			t.Fatalf("compact v%d: %v", v, err)
+		}
+	}
+	return n, repo, v0
+}
+
+// TestRestoreTwinSerial pins the pipelined restore to the serial emit's
+// recorded accounts: identical restored bytes and field-for-field
+// identical stats (virtual Elapsed included) for every cache policy,
+// with LAW prefetching engaged for all of them, over two versions of a
+// file and the oldest version of an optimised chain (with redirects).
+// Run under -race by scripts/check.sh, which also exercises the
+// pipeline's concurrency.
+func TestRestoreTwinSerial(t *testing.T) {
+	n, repo := goldenNode(t)
 	defer n.Close()
 	v0 := genData(61, 3<<20)
 	versions := [][]byte{v0, mutate(v0, 62, 150)}
@@ -73,25 +175,29 @@ func TestRestoreTwinSerial(t *testing.T) {
 			t.Fatalf("backup v%d: %v", i, err)
 		}
 	}
+	cn, crepo, chain0 := goldenChain(t)
+	defer cn.Close()
 
-	for _, policy := range restorePolicies {
-		t.Run(policy, func(t *testing.T) {
-			repo.Config.RestorePolicy = policy
-			for v := range versions {
-				fast, fastBytes := restoreTwin(t, n, repo, "twin", v, false)
-				serial, serialBytes := restoreTwin(t, n, repo, "twin", v, true)
-				if !bytes.Equal(fastBytes, versions[v]) {
-					t.Fatalf("v%d: pipelined restore corrupt", v)
-				}
-				if !bytes.Equal(fastBytes, serialBytes) {
-					t.Fatalf("v%d: pipelined and serial restores diverge", v)
-				}
-				if !reflect.DeepEqual(fast, serial) {
-					t.Errorf("v%d stats diverge:\nfast:   %+v\nserial: %+v", v, fast, serial)
-				}
-			}
+	var cases []goldenCase
+	for v := range versions {
+		cases = append(cases, goldenCase{
+			name: fmt.Sprintf("v%d", v),
+			want: versions[v],
+			run:  func(w io.Writer) (*RestoreStats, error) { return n.Restore("twin", v, w) },
 		})
 	}
+	cases = append(cases, goldenCase{
+		name: "chain-v0",
+		want: chain0,
+		run: func(w io.Writer) (*RestoreStats, error) {
+			st, err := cn.Restore("chain", 0, w)
+			if err == nil && st.Redirects == 0 {
+				t.Error("optimised chain restored without redirects")
+			}
+			return st, err
+		},
+	})
+	checkGolden(t, "restore", []*core.Repo{repo, crepo}, cases)
 }
 
 // TestVerifyTwinSerial is the same pin for Verify jobs, which add the
@@ -99,101 +205,66 @@ func TestRestoreTwinSerial(t *testing.T) {
 // The verify worker count sweeps the three pool shapes: shared with the
 // ingest pool, dedicated, and inline on the verifier stage.
 func TestVerifyTwinSerial(t *testing.T) {
-	cfg := testConfig()
-	cfg.SharedCacheBytes = -1 // keep twin runs independent (see above)
-	n, repo := newNode(t, cfg)
+	n, repo := goldenNode(t)
 	defer n.Close()
-	data := genData(63, 3<<20)
-	if _, err := n.Backup("twin", data); err != nil {
+	if _, err := n.Backup("twin", genData(63, 3<<20)); err != nil {
 		t.Fatal(err)
 	}
+	cn, crepo, _ := goldenChain(t)
+	defer cn.Close()
 
-	for _, policy := range restorePolicies {
-		t.Run(policy, func(t *testing.T) {
-			repo.Config.RestorePolicy = policy
-			for _, workers := range []int{repo.Config.HashWorkers, 3, -1} {
+	var cases []goldenCase
+	for _, workers := range []int{repo.Config.HashWorkers, 3, -1} {
+		cases = append(cases, goldenCase{
+			name: fmt.Sprintf("w%d", workers),
+			run: func(io.Writer) (*RestoreStats, error) {
 				repo.Config.VerifyWorkers = workers
-
-				repo.Config.LegacyRestore = false
-				fastSt, err := n.Verify("twin", 0)
-				if err != nil {
-					t.Fatalf("pipelined verify (W=%d): %v", workers, err)
-				}
-				prefetchConserved(t, fastSt)
-
-				repo.Config.LegacyRestore = true
-				serialSt, err := n.Verify("twin", 0)
-				if err != nil {
-					t.Fatalf("serial verify: %v", err)
-				}
-				fast, serial := comparableRestore(fastSt), comparableRestore(serialSt)
-				if !reflect.DeepEqual(fast, serial) {
-					t.Errorf("W=%d verify stats diverge:\nfast:   %+v\nserial: %+v", workers, fast, serial)
-				}
-			}
+				return n.Verify("twin", 0)
+			},
 		})
 	}
+	cases = append(cases, goldenCase{
+		name: "chain-v0",
+		run:  func(io.Writer) (*RestoreStats, error) { return cn.Verify("chain", 0) },
+	})
+	checkGolden(t, "verify", []*core.Repo{repo, crepo}, cases)
 }
 
-// TestRestoreRangeTwinSerial pins the pipelined range restore (trimmed
-// pushes, no verification, strictly sequential virtual time) to the
-// serial emit across all policies and window shapes: chunk-unaligned
-// head, mid-chunk tail, single-byte, and to-end-of-file ranges.
+// TestRestoreRangeTwinSerial is the same pin for range restores (trimmed
+// pushes, no verification, strictly sequential virtual time) over a
+// chunk-unaligned head, a mid-chunk tail, a single byte, a to-end-of-file
+// range, and the whole file. The whole-file range is the dense control:
+// the pipeline must not move a range restore's virtual time, which the
+// ranged-read planner's cost model is calibrated against.
 func TestRestoreRangeTwinSerial(t *testing.T) {
-	cfg := testConfig()
-	cfg.SharedCacheBytes = -1 // keep twin runs independent (see above)
-	n, repo := newNode(t, cfg)
+	n, repo := goldenNode(t)
 	defer n.Close()
 	data := genData(64, 3<<20)
 	if _, err := n.Backup("twin", data); err != nil {
 		t.Fatal(err)
 	}
 	total := int64(len(data))
-	ranges := []struct {
-		off, length int64
-	}{
+	var cases []goldenCase
+	for _, rg := range []struct{ off, length int64 }{
 		{0, 64 << 10},
 		{1234567, 300<<10 + 17},
 		{total / 2, 1},
 		{total - 5000, -1},
-	}
-
-	for _, policy := range restorePolicies {
-		t.Run(policy, func(t *testing.T) {
-			repo.Config.RestorePolicy = policy
-			for _, rg := range ranges {
-				end := total
-				if rg.length >= 0 && rg.off+rg.length < end {
-					end = rg.off + rg.length
-				}
-
-				repo.Config.LegacyRestore = false
-				var fastBuf bytes.Buffer
-				fastSt, err := n.RestoreRange("twin", 0, rg.off, rg.length, &fastBuf)
-				if err != nil {
-					t.Fatalf("pipelined range [%d,+%d): %v", rg.off, rg.length, err)
-				}
-
-				repo.Config.LegacyRestore = true
-				var serialBuf bytes.Buffer
-				serialSt, err := n.RestoreRange("twin", 0, rg.off, rg.length, &serialBuf)
-				if err != nil {
-					t.Fatalf("serial range [%d,+%d): %v", rg.off, rg.length, err)
-				}
-
-				if !bytes.Equal(fastBuf.Bytes(), data[rg.off:end]) {
-					t.Fatalf("range [%d,+%d): pipelined bytes wrong", rg.off, rg.length)
-				}
-				if !bytes.Equal(fastBuf.Bytes(), serialBuf.Bytes()) {
-					t.Fatalf("range [%d,+%d): pipelined and serial diverge", rg.off, rg.length)
-				}
-				fast, serial := comparableRestore(fastSt), comparableRestore(serialSt)
-				if !reflect.DeepEqual(fast, serial) {
-					t.Errorf("range [%d,+%d) stats diverge:\nfast:   %+v\nserial: %+v", rg.off, rg.length, fast, serial)
-				}
-			}
+		{0, -1},
+	} {
+		end := total
+		if rg.length >= 0 && rg.length < end-rg.off {
+			end = rg.off + rg.length
+		}
+		cases = append(cases, goldenCase{
+			name: fmt.Sprintf("%d+%d", rg.off, rg.length),
+			want: data[rg.off:end],
+			run: func(w io.Writer) (*RestoreStats, error) {
+				return n.RestoreRange("twin", 0, rg.off, rg.length, w)
+			},
 		})
 	}
+	checkGolden(t, "range", []*core.Repo{repo}, cases)
 }
 
 // TestRestorePrefetchAllPolicies: the prefetcher must engage (dispatch
@@ -242,23 +313,16 @@ func TestRestorePrefetchAllPolicies(t *testing.T) {
 }
 
 // TestRestoreRunVerifyFailure exercises the pipeline's abort path
-// directly: a fingerprint mismatch must surface as the serial path's
-// verify error, leave no goroutines behind (the -race run doubles as the
-// leak check), and leave the pooled run reusable for the next restore.
+// directly: a fingerprint mismatch must surface as a verify error, leave
+// no goroutines behind (the -race run doubles as the leak check), and
+// leave the pooled run reusable for the next restore.
 func TestRestoreRunVerifyFailure(t *testing.T) {
 	cfg := fastConfig()
 	n, repo := newNode(t, cfg)
 	defer n.Close()
-	data := genData(66, 1<<20)
-	chunks := chunker.SplitAll(data, repo.Cutter())
-	bufs := make([][]byte, len(chunks))
-	seq := make([]cache.Request, len(chunks))
-	for i, c := range chunks {
-		bufs[i] = c.Data
-		seq[i] = cache.Request{FP: fingerprint.Of(cfg.FingerprintAlg, c.Data), Size: uint32(len(c.Data))}
-	}
-	if got := n.RestoreHandoff(bufs, seq, true); got != len(chunks) {
-		t.Fatalf("clean handoff = %d, want %d", got, len(chunks))
+	bufs, seq := handoffFixture(cfg, repo, genData(66, 1<<20))
+	if got := n.RestoreHandoff(bufs, seq, true); got != len(bufs) {
+		t.Fatalf("clean handoff = %d, want %d", got, len(bufs))
 	}
 	seq[len(seq)/2].FP = fingerprint.FP{} // poison one chunk
 	if got := n.RestoreHandoff(bufs, seq, true); got != -1 {
@@ -266,41 +330,32 @@ func TestRestoreRunVerifyFailure(t *testing.T) {
 	}
 	// The run (and its channels) must have been recycled cleanly.
 	seq[len(seq)/2].FP = fingerprint.Of(cfg.FingerprintAlg, bufs[len(seq)/2])
-	if got := n.RestoreHandoff(bufs, seq, true); got != len(chunks) {
-		t.Fatalf("post-failure handoff = %d, want %d", got, len(chunks))
+	if got := n.RestoreHandoff(bufs, seq, true); got != len(bufs) {
+		t.Fatalf("post-failure handoff = %d, want %d", got, len(bufs))
 	}
 }
 
 // TestRestoreHandoffAllocs is the steady-state allocation gate of the
 // restore fast path: the pooled slot hand-off (emit→verify→write over
-// recycled slots) must allocate at least 10x less per pass than the
-// naive per-chunk-copy hand-off.
+// recycled slots) must allocate at most 8 per pass. A hand-off that
+// copies each chunk into a fresh buffer allocates once per chunk (907
+// per pass on this input).
 func TestRestoreHandoffAllocs(t *testing.T) {
 	cfg := fastConfig()
 	n, repo := newNode(t, cfg)
 	defer n.Close()
-	data := genData(67, 4<<20)
-	chunks := chunker.SplitAll(data, repo.Cutter())
-	bufs := make([][]byte, len(chunks))
-	seq := make([]cache.Request, len(chunks))
-	for i, c := range chunks {
-		bufs[i] = c.Data
-		seq[i] = cache.Request{FP: fingerprint.Of(cfg.FingerprintAlg, c.Data), Size: uint32(len(c.Data))}
-	}
+	bufs, seq := handoffFixture(cfg, repo, genData(67, 4<<20))
 
 	// Pin the GC so sync.Pool contents survive the measurement.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for i := 0; i < 3; i++ { // warm the slot/run pools and goroutine cache
-		if got := n.RestoreHandoff(bufs, seq, true); got != len(chunks) {
-			t.Fatalf("handoff produced %d chunks, want %d", got, len(chunks))
+		if got := n.RestoreHandoff(bufs, seq, true); got != len(bufs) {
+			t.Fatalf("handoff produced %d chunks, want %d", got, len(bufs))
 		}
 	}
 	fast := testing.AllocsPerRun(10, func() { n.RestoreHandoff(bufs, seq, true) })
-	legacy := testing.AllocsPerRun(10, func() {
-		LegacyRestoreHandoff(cfg.FingerprintAlg, bufs, seq, true)
-	})
 
-	t.Logf("allocs/pass over %d chunks: fast=%.1f legacy=%.1f", len(chunks), fast, legacy)
+	t.Logf("allocs/pass over %d chunks: fast=%.1f", len(bufs), fast)
 	if raceEnabled {
 		// Race instrumentation allocates shadow state per goroutine and
 		// channel op; the counts only mean anything uninstrumented.
@@ -308,9 +363,6 @@ func TestRestoreHandoffAllocs(t *testing.T) {
 	}
 	if fast > 8 {
 		t.Errorf("fast hand-off allocates %.1f/pass, want <= 8", fast)
-	}
-	if fast*10 > legacy {
-		t.Errorf("fast hand-off %.1f allocs/pass is not 10x below legacy %.1f", fast, legacy)
 	}
 }
 
@@ -329,11 +381,7 @@ func handoffFixture(cfg core.Config, repo *core.Repo, data []byte) ([][]byte, []
 
 func BenchmarkRestoreHandoff(b *testing.B) {
 	cfg := fastConfig()
-	repo, err := core.OpenRepo(oss.NewMem(), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := New(repo, "l0")
+	n, repo := newNode(b, cfg)
 	defer n.Close()
 	data := genData(68, 8<<20)
 	bufs, seq := handoffFixture(cfg, repo, data)
@@ -342,21 +390,5 @@ func BenchmarkRestoreHandoff(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n.RestoreHandoff(bufs, seq, true)
-	}
-}
-
-func BenchmarkLegacyRestoreHandoff(b *testing.B) {
-	cfg := fastConfig()
-	repo, err := core.OpenRepo(oss.NewMem(), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	data := genData(68, 8<<20)
-	bufs, seq := handoffFixture(cfg, repo, data)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		LegacyRestoreHandoff(cfg.FingerprintAlg, bufs, seq, true)
 	}
 }

@@ -12,11 +12,10 @@ import (
 )
 
 // This file is the restore fast path (DESIGN.md §14): the read-side twin
-// of the pooled ingest pipeline. The legacy emit (kept behind
-// Config.LegacyRestore as the measured baseline) charges, verifies, and
-// writes every chunk inside one sequential callback, so the OSS fetch,
-// the per-chunk SHA, and the sink write serialise. The fast path splits
-// them into a bounded pipeline:
+// of the pooled ingest pipeline. Charging, verifying and writing every
+// chunk inside one sequential emit callback would serialise the OSS
+// fetch, the per-chunk SHA and the sink write; the fast path splits them
+// into a bounded pipeline:
 //
 //	policy emit ──ring──▶ verifier ──out──▶ writer
 //
@@ -44,9 +43,10 @@ import (
 //
 // Virtual-time determinism: every charge is a per-chunk
 // time.Duration(float64(n)·costPerByte) conversion issued on the emit
-// stage in sequence order — exactly the serial path's truncation and
-// order — so accounts are bit-identical to Config.LegacyRestore
-// regardless of worker count or interleaving (TestRestoreTwinSerial).
+// stage in sequence order — exactly the truncation and order of a serial
+// per-chunk emit — so accounts are bit-identical to that serial emit's,
+// recorded in testdata/restore_golden.json, regardless of worker count or
+// interleaving (TestRestoreTwinSerial).
 
 // restoreOutDepth is the writer hand-off depth: one buffer being written
 // while the next verified one waits — the double-buffered write-behind.
@@ -90,7 +90,7 @@ type restoreRun struct {
 	pool   *hashPool // nil = hash on the verifier (VerifyWorkers < 0)
 
 	emitCost float64 // Costs.RestorePerByte
-	hashCost float64 // per-byte fingerprint cost, serial-path identical
+	hashCost float64 // per-byte fingerprint cost, as repo.Fingerprint charges it
 
 	fileID  string
 	version int
@@ -184,8 +184,8 @@ func (r *restoreRun) emit(data []byte) error {
 	}
 	r.acct.ChargeCPUBytes(simclock.PhaseOther, int64(len(data)), r.emitCost)
 	if r.verify {
-		// Same per-chunk conversion the serial path's repo.Fingerprint
-		// charge performs, issued here so totals stay bit-identical.
+		// The per-chunk conversion repo.Fingerprint's charge performs,
+		// issued here in sequence order so totals stay bit-identical.
 		r.acct.ChargeCPUBytes(simclock.PhaseFingerprint, int64(len(data)), r.hashCost)
 	}
 	return r.push(data)
@@ -332,25 +332,6 @@ func (n *LNode) RestoreHandoff(chunks [][]byte, seq []cache.Request, verify bool
 	}
 	if _, err := r.finish(nil); err != nil {
 		return -1
-	}
-	return len(chunks)
-}
-
-// LegacyRestoreHandoff is the same hand-off without pooling: every chunk
-// allocates its own slot and payload copy before verification and the
-// sink write, the way a naive pipelined emit would. Kept as the
-// benchmark baseline RestoreHandoff is gated against.
-func LegacyRestoreHandoff(alg fingerprint.Algorithm, chunks [][]byte, seq []cache.Request, verify bool) int {
-	for i, c := range chunks {
-		buf := append([]byte(nil), c...)
-		if verify {
-			if fingerprint.Of(alg, buf) != seq[i].FP {
-				return -1
-			}
-		}
-		if _, err := io.Discard.Write(buf); err != nil {
-			return -1
-		}
 	}
 	return len(chunks)
 }

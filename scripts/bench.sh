@@ -30,7 +30,7 @@ run '^BenchmarkMetaFind$' ./internal/container/
 run '^BenchmarkFingerprint$' ./internal/fingerprint/
 run '^Benchmark(KVPut|KVGet|KVBatchPut|KVGetMulti)$' ./internal/kvstore/
 run '^BenchmarkRestorePolicies$' ./internal/cache/
-run '^Benchmark(IngestHandoff|LegacyHandoff|HashChunksCrossover|RestoreHandoff|LegacyRestoreHandoff)$' ./internal/lnode/
+run '^Benchmark(IngestHandoff|HashChunksCrossover|RestoreHandoff)$' ./internal/lnode/
 
 # Baseline compare: ns/op against scripts/bench_baseline.txt, joined on
 # benchmark name (GOMAXPROCS suffix stripped). Informational only.

@@ -20,28 +20,15 @@ go test -race ./...
 # the gate without costing real measurement time.
 BENCHTIME=1x sh ./scripts/bench.sh
 
-# Restore I/O layer experiment smoke: the sweep is virtual-time and
-# sub-second, so run it whole as a does-it-still-run check for the
-# BENCH_restoreio.json artifact (discarded here; CI uploads the real one).
-BENCH_RESTOREIO_OUT=/dev/null go run ./cmd/slimbench -exp restoreio >/dev/null
-
-# Replicated-index experiment smoke: overhead and failover columns are
-# deterministic and the sweep is sub-second, so run it whole as a
-# does-it-still-run check for the BENCH_repl.json artifact.
-BENCH_REPL_OUT=/dev/null go run ./cmd/slimbench -exp repl >/dev/null
-
-# Erasure-coding experiment smoke: the durability/cost/latency frontier
-# is deterministic and sub-second, so run it whole as a does-it-still-run
-# check for the BENCH_ec.json artifact.
-BENCH_EC_OUT=/dev/null go run ./cmd/slimbench -exp ec >/dev/null
-
-# Ingest fast-path experiment smoke: the worker sweep, hand-off
-# allocation counts, and streaming-residency row for BENCH_ingest.json.
-BENCH_INGEST_OUT=/dev/null go run ./cmd/slimbench -exp ingest >/dev/null
-
-# Restore fast-path experiment smoke: the serial-vs-pipelined twin sweep,
-# dense range-restore control, and residency row for BENCH_restorefast.json.
-BENCH_RESTOREFAST_OUT=/dev/null go run ./cmd/slimbench -exp restorefast >/dev/null
+# Experiment smoke: the restore I/O, replicated-index, erasure-coding,
+# ingest and restore fast-path sweeps are sub-second, so run each whole
+# as a does-it-still-run check for its BENCH_<exp>.json artifact (written
+# to a scratch directory and discarded; CI uploads the real ones).
+ART="$(mktemp -d)"
+trap 'rm -rf "$ART"' EXIT
+for exp in restoreio repl ec ingest restorefast; do
+	go run ./cmd/slimbench -exp "$exp" -out "$ART" >/dev/null
+done
 
 # Fuzz smoke: seed corpora always run as part of `go test`; the short
 # -fuzz bursts below look for fresh counterexamples without blocking the
